@@ -43,10 +43,8 @@ from .elasticity import (
 from .errors import (
     ArcPlateError,
     ContactViolationError,
-    InvalidIntervalError,
     MaterialConfigError,
     MaterialNotFoundError,
-    NonConvergenceError,
     NonNegativeEnergyError,
     NonPositiveGapError,
     NonPositiveThicknessError,
@@ -55,13 +53,6 @@ from .errors import (
     ZeroReferenceError,
 )
 from .geometry import ArcGeometry, PfaReport
-from .quadrature import (
-    DEFAULT_SPEC,
-    GAUSS_CROSS_CHECK,
-    QuadratureResult,
-    QuadratureSpec,
-    integrate,
-)
 
 __version__ = "0.1.0"
 
@@ -71,16 +62,12 @@ __all__ = [
     "CODATA",
     "ContactViolationError",
     "CurvatureTensor",
-    "DEFAULT_SPEC",
     "EnergyModel",
-    "GAUSS_CROSS_CHECK",
-    "InvalidIntervalError",
     "LineEnergy",
     "Material",
     "MaterialConfigError",
     "MaterialNotFoundError",
     "MaterialWarning",
-    "NonConvergenceError",
     "NonNegativeEnergyError",
     "NonPositiveGapError",
     "NonPositiveThicknessError",
@@ -90,8 +77,6 @@ __all__ = [
     "PfaReport",
     "PfaViolationError",
     "PhysicalConstants",
-    "QuadratureResult",
-    "QuadratureSpec",
     "SweepConfig",
     "SweepRow",
     "SweepTable",
@@ -103,7 +88,6 @@ __all__ = [
     "builtin_materials",
     "critical_thickness",
     "fractional_deviation",
-    "integrate",
     "material_by_name",
     "parallel_plate_energy_density",
     "parallel_plate_pressure",

@@ -9,19 +9,16 @@ this across a uniform grid of gaps for every requested material and model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 from .casimir import NTLO, PFA, EnergyModel, arc_energy
 from .elasticity import Material
 from .errors import NonNegativeEnergyError, ZeroReferenceError
 from .geometry import ArcGeometry
-from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
 __all__ = [
+    "MAX_POINTS",
     "SweepConfig",
     "SweepRow",
     "SweepTable",
@@ -30,22 +27,23 @@ __all__ = [
     "run_sweep",
 ]
 
+# Largest gap grid a sweep accepts; larger requests are rejected before any
+# row is computed.
+MAX_POINTS = 1_000_000
+
 
 def critical_thickness(u_casimir: float, mat: Material, geom: ArcGeometry) -> float:
     """Largest thickness whose bending energy the interaction can overcome, m.
 
     t = (|u_casimir| / C)^(1/3), C = E L / (24 (1 - nu^2) R^2); the reported
     value is the equality point |U| = U_bend(t), i.e. the supremum of
-    admissible thicknesses. Uses the closed-form arc length
-    2 R arcsin(y_max / R); bending_energy's quadrature agrees with it to
-    integration tolerance.
+    admissible thicknesses, with the same arc length as bending_energy.
     """
     if u_casimir >= 0.0:
         raise NonNegativeEnergyError(
             f"need an attractive (negative) energy, got {u_casimir}"
         )
-    length = 2.0 * geom.radius * math.asin(geom.half_span / geom.radius)
-    coef = mat.plane_strain_modulus * length / (24.0 * geom.radius**2)
+    coef = mat.plane_strain_modulus * geom.arc_length() / (24.0 * geom.radius**2)
     return (-u_casimir / coef) ** (1.0 / 3.0)
 
 
@@ -72,7 +70,6 @@ class SweepConfig:
     half_span: float  # m
     materials: tuple[Material, ...]
     models: tuple[EnergyModel, ...]
-    quadrature: QuadratureSpec = DEFAULT_SPEC
     comparison: tuple[EnergyModel, EnergyModel] | None = None
 
     def __post_init__(self) -> None:
@@ -82,8 +79,10 @@ class SweepConfig:
             raise ValueError(
                 f"need 0 < gap_min <= gap_max, got [{self.gap_min}, {self.gap_max}]"
             )
-        if self.points < 1:
-            raise ValueError(f"points must be >= 1, got {self.points}")
+        if not (1 <= self.points <= MAX_POINTS):
+            raise ValueError(
+                f"points must lie in [1, {MAX_POINTS}], got {self.points}"
+            )
         if not self.materials:
             raise ValueError("at least one material required")
         if not self.models:
@@ -114,9 +113,13 @@ class SweepConfig:
         pair = self.resolved_comparison()
         return pair[1] if pair is not None else self.models[-1]
 
-    def gaps(self) -> np.ndarray:
-        # uniform linear grid, ascending; points == 1 degenerates to gap_min
-        return np.linspace(self.gap_min, self.gap_max, self.points)
+    def gaps(self) -> list[float]:
+        """Uniform ascending grid gap_min + i*step ending exactly at gap_max;
+        the same floats numpy.linspace gives. points == 1 is [gap_min]."""
+        if self.points == 1:
+            return [self.gap_min]
+        step = (self.gap_max - self.gap_min) / (self.points - 1)
+        return [self.gap_min + i * step for i in range(self.points - 1)] + [self.gap_max]
 
 
 @dataclass(frozen=True)
@@ -143,15 +146,9 @@ def run_sweep(config: SweepConfig) -> SweepTable:
     pair = config.resolved_comparison()
     first_material = config.materials[0].name
     rows: list[SweepRow] = []
-    arc_len = 0.0
     for gap in config.gaps():
-        geom = ArcGeometry(radius=config.radius, half_span=config.half_span, gap=float(gap))
-        if not rows:
-            arc_len = geom.arc_length(config.quadrature)
-        energies = {
-            model.key: arc_energy(geom, model, config.quadrature).value
-            for model in config.models
-        }
+        geom = ArcGeometry(radius=config.radius, half_span=config.half_span, gap=gap)
+        energies = {model.key: arc_energy(geom, model).value for model in config.models}
         thickness = {
             (mat.name, model.key): critical_thickness(energies[model.key], mat, geom)
             for mat in config.materials
@@ -164,6 +161,6 @@ def run_sweep(config: SweepConfig) -> SweepTable:
                 thickness[(first_material, pair[1].key)],
             )
         rows.append(
-            SweepRow(gap=float(gap), energies=energies, thickness=thickness, delta=delta)
+            SweepRow(gap=gap, energies=energies, thickness=thickness, delta=delta)
         )
-    return SweepTable(config=config, rows=tuple(rows), arc_length=arc_len)
+    return SweepTable(config=config, rows=tuple(rows), arc_length=geom.arc_length())

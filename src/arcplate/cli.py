@@ -4,10 +4,10 @@ Subcommands: sweep (gap grid -> CSV + JSON metadata sidecar), energy (single
 value, JSON to stdout), validate (geometry and thin-plate report), materials
 (list/show the material table, optionally merged with a JSON config file).
 
-Exit codes: 0 ok, 2 usage, 3 physics precondition or non-convergence,
-4 config-file problem. Flag values carrying a length must be unit-suffixed
-(0.1um, 100nm); bare numbers are rejected. CSV bodies are byte-deterministic
-for identical flags; timestamps only ever appear in JSON metadata.
+Exit codes: 0 ok, 2 usage, 3 physics precondition, 4 config-file problem.
+Flag values carrying a length must be unit-suffixed (0.1um, 100nm); bare
+numbers are rejected. CSV bodies are byte-deterministic for identical flags;
+timestamps only ever appear in JSON metadata.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
-from .analysis import SweepConfig, SweepTable, run_sweep
+from .analysis import MAX_POINTS, SweepConfig, SweepTable, run_sweep
 from .casimir import (
     CODATA,
     NTLO,
@@ -44,9 +44,8 @@ from .errors import (
     MaterialNotFoundError,
 )
 from .geometry import ArcGeometry
-from .quadrature import QuadratureSpec
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -238,28 +237,15 @@ def sweep_csv(table: SweepTable) -> str:
     return buf.getvalue()
 
 
-def _quadrature_meta(spec: QuadratureSpec) -> dict:
-    return {
-        "method": spec.method,
-        "rtol": spec.rtol,
-        "atol": spec.atol,
-        "max_subdivisions": spec.max_subdivisions,
-        "gauss_order": spec.gauss_order,
-    }
-
-
 def make_record(
     argv: Sequence[str],
     rows: list[dict],
     geometry: dict | None,
-    spec: QuadratureSpec | None,
     extra_metadata: dict | None = None,
 ) -> dict:
     metadata: dict = {
         "constants": {"hbar_J_s": CODATA.hbar, "c_m_per_s": CODATA.c},
     }
-    if spec is not None:
-        metadata["quadrature"] = _quadrature_meta(spec)
     if geometry is not None:
         metadata["geometry"] = geometry
     if extra_metadata:
@@ -304,16 +290,6 @@ def _sidecar_rows(table: SweepTable) -> list[dict]:
     return rows
 
 
-def _quadrature_from(args: argparse.Namespace) -> QuadratureSpec:
-    return QuadratureSpec(
-        method=args.quad_method,
-        rtol=args.quad_rtol,
-        atol=args.quad_atol,
-        max_subdivisions=args.quad_max_subdivisions,
-        gauss_order=args.quad_order,
-    )
-
-
 def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     if args.gap_min > args.gap_max:
         raise _CliFailure(EXIT_USAGE, "gap-min exceeds gap-max")
@@ -326,7 +302,6 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
         half_span=args.span / 2.0,
         materials=materials,
         models=args.models,
-        quadrature=_quadrature_from(args),
     )
     table = run_sweep(config)
     text = sweep_csv(table)
@@ -347,7 +322,6 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
             "points": config.points,
             "arc_length_m": table.arc_length,
         },
-        spec=config.quadrature,
         extra_metadata={
             "materials": [_material_dict(m) for m in config.materials],
             "models": [m.label for m in config.models],
@@ -387,18 +361,10 @@ def cmd_energy(args: argparse.Namespace, argv: list[str]) -> int:
             f"--quantity {quantity} not available for geometry {args.geometry}; "
             f"choose from {', '.join(_QUANTITIES[args.geometry])}",
         )
-    spec = _quadrature_from(args)
     if args.geometry == "arc":
         geom = ArcGeometry(radius=args.r, half_span=args.span / 2.0, gap=args.gap)
-        line = arc_energy(geom, args.model, spec)
-        rows = [
-            {
-                "kind": "arc",
-                "model": line.model.label,
-                "value_J_per_m": line.value,
-                "quadrature_error_J_per_m": line.quadrature_error,
-            }
-        ]
+        line = arc_energy(geom, args.model)
+        rows = [{"kind": "arc", "model": line.model.label, "value_J_per_m": line.value}]
         geometry = {
             "radius_m": geom.radius,
             "half_span_m": geom.half_span,
@@ -422,7 +388,7 @@ def cmd_energy(args: argparse.Namespace, argv: list[str]) -> int:
             rows = [{"kind": "sphere", "value_N": sphere_plate_force(args.r, args.gap)}]
         geometry = {"radius_m": args.r, "gap_m": args.gap}
     rows[0]["quantity"] = quantity
-    record = make_record(argv, rows, geometry, spec)
+    record = make_record(argv, rows, geometry)
     print(json.dumps(record, indent=2))
     return EXIT_OK
 
@@ -471,7 +437,7 @@ def cmd_materials(args: argparse.Namespace, argv: list[str]) -> int:
             )
         return EXIT_OK
     mat = material_by_name(args.name, pool)
-    record = make_record(argv, [_material_dict(mat)], geometry=None, spec=None)
+    record = make_record(argv, [_material_dict(mat)], geometry=None)
     print(json.dumps(record, indent=2))
     return EXIT_OK
 
@@ -502,27 +468,18 @@ def build_parser() -> argparse.ArgumentParser:
             help="full transverse span, i.e. 2*half-span (default 6um)",
         )
 
-    def add_quadrature(sp: argparse.ArgumentParser) -> None:
-        group = sp.add_argument_group("quadrature")
-        group.add_argument(
-            "--quad-method",
-            choices=["adaptive-simpson", "gauss-legendre"],
-            default="adaptive-simpson",
-        )
-        group.add_argument("--quad-rtol", type=float, default=1e-10)
-        group.add_argument("--quad-atol", type=float, default=0.0)
-        group.add_argument("--quad-max-subdivisions", type=int, default=60)
-        group.add_argument(
-            "--quad-order", type=int, default=32, help="gauss-legendre order"
-        )
-
     sweep = sub.add_parser(
         "sweep", help="critical-thickness sweep over a uniform gap grid (CSV)"
     )
     add_geometry(sweep)
     sweep.add_argument("--gap-min", type=parse_length, default=parse_length("0.1um"), metavar="LEN")
     sweep.add_argument("--gap-max", type=parse_length, default=parse_length("1um"), metavar="LEN")
-    sweep.add_argument("--points", type=int, default=1000)
+    sweep.add_argument(
+        "--points",
+        type=int,
+        default=1000,
+        help=f"grid size, 1 to {MAX_POINTS:,} (default 1000)",
+    )
     sweep.add_argument("--materials", default="gold,silver", help="comma-separated names")
     sweep.add_argument(
         "--models",
@@ -535,9 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default=None,
         help="CSV output path (stdout when omitted); a .meta.json sidecar "
-        "with constants, quadrature spec and full rows is written next to it",
+        "with constants, geometry, materials, models and full rows is written next to it",
     )
-    add_quadrature(sweep)
 
     energy = sub.add_parser("energy", help="single energy evaluation, JSON to stdout")
     energy.add_argument(
@@ -552,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="arc: energy; parallel: pressure|energy-density; sphere: energy|force",
     )
-    add_quadrature(energy)
 
     validate = sub.add_parser(
         "validate", help="report proximity-validity, contact margin, thin-plate ratios"

@@ -16,7 +16,6 @@ from typing import Sequence
 
 from .errors import MaterialNotFoundError, NonPositiveThicknessError
 from .geometry import ArcGeometry
-from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
 __all__ = [
     "Material",
@@ -151,12 +150,7 @@ def strain_energy_density(D: float, nu: float, k: CurvatureTensor) -> float:
     return 0.5 * D * (trace * trace - 2.0 * (1.0 - nu) * det)
 
 
-def bending_energy(
-    mat: Material,
-    t: float,
-    geom: ArcGeometry,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> float:
+def bending_energy(mat: Material, t: float, geom: ArcGeometry) -> float:
     """Per-unit-depth bending energy of the arc, J/m.
 
     Strain energy density at the arc curvature times the arc length;
@@ -164,7 +158,7 @@ def bending_energy(
     """
     D = bending_stiffness(mat, t)
     u = strain_energy_density(D, mat.poisson_ratio, CurvatureTensor.arc(geom.radius))
-    return u * geom.arc_length(spec)
+    return u * geom.arc_length()
 
 
 @dataclass(frozen=True)

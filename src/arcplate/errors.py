@@ -10,14 +10,6 @@ class ArcPlateError(Exception):
     """Base class for all library errors."""
 
 
-class InvalidIntervalError(ArcPlateError, ValueError):
-    """Integration bounds are reversed or non-finite."""
-
-
-class NonConvergenceError(ArcPlateError, RuntimeError):
-    """Adaptive refinement exhausted max subdivisions without meeting tolerance."""
-
-
 class OutOfSpanError(ArcPlateError, ValueError):
     """Transverse coordinate lies outside the arc's half-span."""
 

@@ -17,7 +17,6 @@ from .errors import (
     OutOfSpanError,
     PfaViolationError,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 
 __all__ = [
     "ArcGeometry",
@@ -100,20 +99,9 @@ class ArcGeometry:
         self._check_span(y)
         return -y / math.sqrt(self.radius * self.radius - y * y)
 
-    def arc_length(self, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-        """Arc length: integral of sqrt(1 + slope^2) over the span.
-
-        Agrees with the closed form 2 R arcsin(y_max / R) to quadrature
-        tolerance; the integral form is kept so the quantity stays tied to
-        the profile actually used elsewhere.
-        """
-
-        def integrand(y: float) -> float:
-            s = self.slope(y)
-            return math.sqrt(1.0 + s * s)
-
-        result = integrate(integrand, -self.half_span, self.half_span, spec)
-        return result.value
+    def arc_length(self) -> float:
+        """Arc length 2 R arcsin(y_max / R), m; independent of the gap."""
+        return 2.0 * self.radius * math.asin(self.half_span / self.radius)
 
     def validate_pfa(self) -> PfaReport:
         """Gap/radius ratio against the warn (0.05) and fail (0.5) thresholds."""

@@ -1,13 +1,16 @@
 """Independent reference computations for the tests.
 
-Everything here deliberately avoids the package's own integration engine and
-cancellation-safe formula variants: plain midpoint rule on numpy arrays and
-textbook closed forms, so agreement with the library is a genuine
-cross-check and not the same code evaluated twice.
+Everything here deliberately avoids the package's own closed forms and
+cancellation-safe formula variants: plain midpoint rule on numpy arrays,
+40-digit mpmath quadrature of the integrands, and textbook closed forms, so
+agreement with the library is a genuine cross-check and not the same code
+evaluated twice.
 """
 
 import math
+from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 
 HBAR = 1.054571817e-34  # J*s
@@ -42,6 +45,40 @@ def midpoint_arc_energy(
     panels: int = 1_000_000,
 ) -> float:
     return -ARC_COEF * midpoint_arc_integral(radius, half_span, gap, kappa, panels)
+
+
+@lru_cache(maxsize=None)
+def _mpmath_arc_integrals(radius: float, half_span: float, gap: float):
+    # y = R sin(theta), t = tan(theta/2): psi = g (1 - b^2 t^2)/(1 + t^2) and
+    # dy = 2R (1 - t^2)/(1 + t^2)^2 dt, so both integrands are rational in t
+    R, Y, g = mp.mpf(radius), mp.mpf(half_span), mp.mpf(gap)
+    T = Y / (R + mp.sqrt(R * R - Y * Y))
+    b2 = (2 * R - g) / g
+    scale = 4 * R / g**3
+    i0 = mp.quad(lambda t: (1 - t**4) / (1 - b2 * t * t) ** 3, [0, T])
+    i_sec = mp.quad(
+        lambda t: (1 + t * t) ** 3 / ((1 - t * t) * (1 - b2 * t * t) ** 3), [0, T]
+    )
+    return scale * i0, scale * i_sec
+
+
+def mpmath_arc_energy(radius: float, half_span: float, gap: float, kappa: float) -> float:
+    """-ARC_COEF times integral [1 + kappa*(2/3)*psi'^2] / psi^3 dy at 40 digits,
+    from the exact values of the float inputs. The integrand is split as
+    (1 - 2 kappa/3)/psi^3 + (2 kappa/3)(1 + psi'^2)/psi^3 and each part is
+    integrated in the half-angle variable t."""
+    with mp.workdps(40):
+        i0, i_sec = _mpmath_arc_integrals(radius, half_span, gap)
+        weight = mp.mpf(kappa) * 2 / 3
+        return float(-mp.mpf(ARC_COEF) * ((1 - weight) * i0 + weight * i_sec))
+
+
+def mpmath_gradient_correction(radius: float, half_span: float, gap: float) -> float:
+    """(U_ntlo - U_pfa) / U_pfa at 40 digits: (2/3) integral psi'^2/psi^3 over
+    integral 1/psi^3."""
+    with mp.workdps(40):
+        i0, i_sec = _mpmath_arc_integrals(radius, half_span, gap)
+        return float((i_sec - i0) * 2 / (3 * i0))
 
 
 def midpoint_integral(f, lower: float, upper: float, panels: int) -> float:

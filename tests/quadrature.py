@@ -1,8 +1,9 @@
-"""Deterministic one-dimensional quadrature.
+"""Reference one-dimensional quadrature for the tests.
 
-Two methods behind one entry point: adaptive Simpson (default) for
-tolerance-driven integration of smooth integrands, and a fixed-order
-Gauss-Legendre rule used as an independent cross-check. Both are pure
+The package evaluates its integrals in closed form; the tests cross-check
+those closed forms against this general-purpose engine. Two methods behind
+one entry point: adaptive Simpson (default) for tolerance-driven integration
+of smooth integrands, and a fixed-order Gauss-Legendre rule. Both are pure
 functions of their inputs; nothing here keeps state between calls, so the
 engine is safe to drive from many threads at once.
 """
@@ -16,15 +17,23 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import InvalidIntervalError, NonConvergenceError
-
 __all__ = [
+    "InvalidIntervalError",
+    "NonConvergenceError",
     "QuadratureSpec",
     "QuadratureResult",
     "DEFAULT_SPEC",
     "GAUSS_CROSS_CHECK",
     "integrate",
 ]
+
+
+class InvalidIntervalError(ValueError):
+    """Integration bounds are reversed or non-finite."""
+
+
+class NonConvergenceError(RuntimeError):
+    """Adaptive refinement exhausted max subdivisions without meeting tolerance."""
 
 
 @dataclass(frozen=True)

@@ -212,7 +212,7 @@ def test_criterion_07_elasticity_identities():
     check(
         7,
         "cubic thickness ratio exactly 8; tensor energy equals the cylindrical "
-        "form; quadrature arc length matches 2R*asin within 1e-9",
+        "form; arc length matches 2R*asin within 1e-9",
         cubic_exact and tensor_rel <= 1e-14 and length_rel <= 1e-9,
         f"ratio-8 exact {cubic_exact}, tensor rel {tensor_rel:.2e}, "
         f"length rel {length_rel:.2e}",
@@ -315,6 +315,6 @@ def test_sidecar_metadata_records_the_run(tmp_path, capsys):
     assert cli_main(["sweep", "--points", "3", "--out", str(out)]) == 0
     capsys.readouterr()
     record = json.loads((tmp_path / "s.meta.json").read_text())
-    assert record["schema_version"] == "1"
+    assert record["schema_version"] == "2"
     assert record["metadata"]["constants"]["c_m_per_s"] == 299792458.0
     assert len(record["rows"]) == 3

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from arcplate import (
@@ -20,6 +21,7 @@ from arcplate import (
     run_sweep,
     scaled_ntlo,
 )
+from arcplate.analysis import MAX_POINTS
 
 R = 100e-6
 Y_MAX = 3e-6
@@ -122,6 +124,22 @@ class TestSweepConfig:
     def test_single_point_grid(self):
         cfg = config(gap_min=0.5e-6, gap_max=0.5e-6, points=1)
         assert list(cfg.gaps()) == [0.5e-6]
+
+    @pytest.mark.parametrize(
+        "gap_min,gap_max,points",
+        [(0.1e-6, 1e-6, 1), (0.1e-6, 1e-6, 2), (0.1e-6, 1e-6, 25), (0.1e-6, 1e-6, 1000),
+         (0.3e-6, 0.3e-6, 7), (4.5e-8, 5.9e-8, 150),
+         (0.1e-6, 0.9e-6, 14)],  # here gap_min + 13*step falls short of gap_max
+    )
+    def test_gap_grid_matches_linspace(self, gap_min, gap_max, points):
+        gaps = config(gap_min=gap_min, gap_max=gap_max, points=points).gaps()
+        expected = np.linspace(gap_min, gap_max, points).tolist()
+        assert [g.hex() for g in gaps] == [g.hex() for g in expected]
+
+    def test_points_cap(self):
+        assert config(points=MAX_POINTS).points == MAX_POINTS  # grid not built
+        with pytest.raises(ValueError, match="points"):
+            config(points=MAX_POINTS + 1)
 
     @pytest.mark.parametrize(
         "overrides",

@@ -1,10 +1,10 @@
 """Command-line interface: parsing, outputs, exit codes, determinism.
 
-Everything runs in-process through main(argv) except two subprocess checks:
-`python -m arcplate`, and the `arcplate` console script declared in
+Everything runs in-process through main(argv) except three subprocess checks:
+`python -m arcplate`, the `arcplate` console script declared in
 pyproject.toml, launched by name through the same launcher pip writes on
-install. Both import the arcplate package this suite imported, so neither
-needs an install.
+install, and the import of arcplate.cli without numpy. All import the
+arcplate package this suite imported, so none needs an install.
 """
 
 import json
@@ -147,7 +147,7 @@ class TestSweep:
 
         sidecar = tmp_path / "sweep.meta.json"
         record = json.loads(sidecar.read_text())
-        assert record["schema_version"] == "1"
+        assert record["schema_version"] == "2"
         assert record["command"].startswith("arcplate sweep")
         assert len(record["rows"]) == 4
         first = record["rows"][0]
@@ -167,7 +167,7 @@ class TestSweep:
             "hbar_J_s": 1.054571817e-34,
             "c_m_per_s": 299792458.0,
         }
-        assert meta["quadrature"]["method"] == "adaptive-simpson"
+        assert "quadrature" not in meta
         assert meta["geometry"]["points"] == 4
         assert meta["geometry"]["arc_length_m"] > 0.0
         assert meta["models"] == ["pfa", "ntlo"]
@@ -232,6 +232,9 @@ class TestSweep:
             ("sweep", "--models", "pfa,pfa"),
             ("sweep", "--models", "nlo"),
             ("sweep", "--materials", "copper"),
+            ("sweep", "--points", "1000001"),  # above MAX_POINTS
+            ("sweep", "--quad-rtol", "1e-10"),  # quadrature flags no longer exist
+            ("energy", "--geometry", "arc", "--gap", "0.1um", "--quad-order", "64"),
         ],
     )
     def test_usage_errors(self, capsys, argv):
@@ -245,12 +248,13 @@ class TestSweep:
         assert code == EXIT_PHYSICS
         assert "error:" in err
 
-    def test_non_convergence_is_a_physics_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "sweep", "--points", "1", "--quad-max-subdivisions", "1"
+    def test_gap_at_half_radius_is_a_physics_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--gap-min", "40um", "--gap-max", "60um", "--points", "3"
         )
         assert code == EXIT_PHYSICS
-        assert "error:" in err
+        assert "gap/radius" in err
+        assert out == ""
 
     def test_unwritable_out_path(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -277,7 +281,7 @@ class TestEnergy:
         assert row["model"] == "ntlo"
         assert row["quantity"] == "energy"
         assert row["value_J_per_m"] == pytest.approx(-2.5524781950288447e-12, rel=1e-9)
-        assert row["quadrature_error_J_per_m"] >= 0.0
+        assert set(row) == {"kind", "model", "value_J_per_m", "quantity"}
 
     def test_arc_explicit_model(self, capsys):
         code, out, _ = run_cli(
@@ -360,6 +364,12 @@ class TestEnergy:
             capsys, "energy", "--geometry", "arc", "--gap", "40nm"
         )
         assert code == EXIT_PHYSICS
+
+    def test_arc_gap_at_half_radius(self, capsys):
+        code, out, err = run_cli(capsys, "energy", "--geometry", "arc", "--gap", "60um")
+        assert code == EXIT_PHYSICS
+        assert "gap/radius" in err
+        assert out == ""
 
     def test_sphere_gap_beyond_radius(self, capsys):
         code, _, _ = run_cli(
@@ -604,3 +614,14 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert "gold" in result.stdout
+
+    def test_import_leaves_numpy_out(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import arcplate.cli, sys; assert 'numpy' not in sys.modules"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=subprocess_env(),
+        )
+        assert result.returncode == 0, result.stderr

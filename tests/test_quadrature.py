@@ -1,5 +1,6 @@
-"""Integration engine: contracted examples, error handling, and the
-linearity/additivity/symmetry properties."""
+"""Reference integration engine (tests/quadrature.py): contracted examples,
+error handling, and the linearity/additivity/symmetry properties that make
+it a trustworthy cross-check for the package's closed forms."""
 
 import math
 
@@ -7,15 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcplate.errors import InvalidIntervalError, NonConvergenceError
-from arcplate.quadrature import (
+from oracles import midpoint_integral
+from quadrature import (
     DEFAULT_SPEC,
     GAUSS_CROSS_CHECK,
+    InvalidIntervalError,
+    NonConvergenceError,
     QuadratureSpec,
     integrate,
 )
-
-from oracles import midpoint_integral
 
 BOTH_METHODS = pytest.mark.parametrize(
     "spec", [DEFAULT_SPEC, GAUSS_CROSS_CHECK], ids=["adaptive-simpson", "gauss-legendre"]
