@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .casimir import NTLO, PFA, EnergyModel, arc_energy
+from .casimir import _ARC_COEF, NTLO, PFA, EnergyModel, _arc_integrals
 from .elasticity import Material
 from .errors import NonNegativeEnergyError, ZeroReferenceError
 from .geometry import ArcGeometry
@@ -39,12 +39,22 @@ def critical_thickness(u_casimir: float, mat: Material, geom: ArcGeometry) -> fl
     value is the equality point |U| = U_bend(t), i.e. the supremum of
     admissible thicknesses, with the same arc length as bending_energy.
     """
+    _check_attractive(u_casimir)
+    coef = _bending_coefficient(mat, geom.arc_length(), geom.radius)
+    return (-u_casimir / coef) ** (1.0 / 3.0)
+
+
+def _bending_coefficient(mat: Material, arc_length: float, radius: float) -> float:
+    """C = E L / (24 (1 - nu^2) R^2), J/m^4: bending energy per cubed
+    thickness. It does not depend on the gap."""
+    return mat.plane_strain_modulus * arc_length / (24.0 * radius**2)
+
+
+def _check_attractive(u_casimir: float) -> None:
     if u_casimir >= 0.0:
         raise NonNegativeEnergyError(
             f"need an attractive (negative) energy, got {u_casimir}"
         )
-    coef = mat.plane_strain_modulus * geom.arc_length() / (24.0 * geom.radius**2)
-    return (-u_casimir / coef) ** (1.0 / 3.0)
 
 
 def fractional_deviation(t_a: float, t_b: float) -> float:
@@ -117,9 +127,11 @@ class SweepConfig:
         """Uniform ascending grid gap_min + i*step ending exactly at gap_max;
         the same floats numpy.linspace gives. points == 1 is [gap_min]."""
         if self.points == 1:
-            return [self.gap_min]
+            return [float(self.gap_min)]
         step = (self.gap_max - self.gap_min) / (self.points - 1)
-        return [self.gap_min + i * step for i in range(self.points - 1)] + [self.gap_max]
+        return [self.gap_min + i * step for i in range(self.points - 1)] + [
+            float(self.gap_max)
+        ]
 
 
 @dataclass(frozen=True)
@@ -140,27 +152,39 @@ class SweepTable:
 def run_sweep(config: SweepConfig) -> SweepTable:
     """One SweepRow per gap, ascending; deterministic for a fixed config.
 
-    Rows are evaluated sequentially (the whole default sweep takes well under
-    a second); a contact violation at any gap aborts the run immediately.
+    Each gap's geometry is evaluated once: the arc integrals I0 and I1 give
+    every model's energy as -(pi^2 hbar c / 1440)(I0 + kappa*(2/3)*I1), the
+    same floats arc_energy returns, and each material's bending coefficient
+    is computed once per sweep, since the arc length does not depend on the
+    gap. Thicknesses are the same floats critical_thickness returns. Rows
+    are evaluated sequentially; a contact or proximity violation at any gap
+    aborts the run immediately.
     """
+    gaps = config.gaps()
+    geom = ArcGeometry(radius=config.radius, half_span=config.half_span, gap=gaps[0])
+    arc_length = geom.arc_length()
+    keys = [model.key for model in config.models]
+    weights = [model.gradient_weight * (2.0 / 3.0) for model in config.models]
+    cells = [(mat.name, key) for mat in config.materials for key in keys]
+    coefs = [_bending_coefficient(mat, arc_length, config.radius) for mat in config.materials]
     pair = config.resolved_comparison()
-    first_material = config.materials[0].name
+    if pair is not None:
+        first_material = config.materials[0].name
+        other, reference = (first_material, pair[0].key), (first_material, pair[1].key)
     rows: list[SweepRow] = []
-    for gap in config.gaps():
+    for gap in gaps:
         geom = ArcGeometry(radius=config.radius, half_span=config.half_span, gap=gap)
-        energies = {model.key: arc_energy(geom, model).value for model in config.models}
-        thickness = {
-            (mat.name, model.key): critical_thickness(energies[model.key], mat, geom)
-            for mat in config.materials
-            for model in config.models
-        }
+        i0, i1 = _arc_integrals(geom)
+        us = [-_ARC_COEF * (i0 + weight * i1) for weight in weights]
+        for u in us:
+            _check_attractive(u)
+        thickness = dict(
+            zip(cells, [(-u / coef) ** (1.0 / 3.0) for coef in coefs for u in us])
+        )
         delta = None
         if pair is not None:
-            delta = fractional_deviation(
-                thickness[(first_material, pair[0].key)],
-                thickness[(first_material, pair[1].key)],
-            )
+            delta = fractional_deviation(thickness[other], thickness[reference])
         rows.append(
-            SweepRow(gap=gap, energies=energies, thickness=thickness, delta=delta)
+            SweepRow(gap=gap, energies=dict(zip(keys, us)), thickness=thickness, delta=delta)
         )
-    return SweepTable(config=config, rows=tuple(rows), arc_length=geom.arc_length())
+    return SweepTable(config=config, rows=tuple(rows), arc_length=arc_length)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import NonPositiveGapError, PfaViolationError
-from .geometry import ArcGeometry
+from .geometry import PFA_FAIL_RATIO, ArcGeometry
 
 __all__ = [
     "PhysicalConstants",
@@ -179,11 +179,24 @@ def sphere_plate_energy(R: float, d: float) -> float:
 def arc_energy(geom: ArcGeometry, model: EnergyModel) -> LineEnergy:
     """Arc-plate interaction energy per unit depth, J/m.
 
-    -pi^2 hbar c / 1440 times I0 + kappa*(2/3)*I1, where I0 = integral
-    1/psi^3 and I1 = integral psi'^2/psi^3 over the span. Both are positive,
-    so kappa = 0 returns I0 exactly. With y = R sin(theta),
-    t = tan(theta/2) and B = (2R - g)/g, psi = g (1 - B t^2)/(1 + t^2) and
-    both integrands are rational in t on [0, T]:
+    -pi^2 hbar c / 1440 times I0 + kappa*(2/3)*I1, with I0 and I1 from
+    _arc_integrals. Both are positive, so kappa = 0 returns I0 exactly.
+
+    Raises PfaViolationError when gap/radius reaches the 0.5 hard threshold
+    of validate_pfa(); contact is already excluded by the geometry.
+    """
+    i0, i1 = _arc_integrals(geom)
+    weight = model.gradient_weight * (2.0 / 3.0)
+    return LineEnergy(value=-_ARC_COEF * (i0 + weight * i1), model=model)
+
+
+def _arc_integrals(geom: ArcGeometry) -> tuple[float, float]:
+    """(I0, I1): I0 = integral 1/psi^3 and I1 = integral psi'^2/psi^3 over
+    the span, in 1/m^2. Every model's energy is linear in them.
+
+    With y = R sin(theta), t = tan(theta/2) and B = (2R - g)/g,
+    psi = g (1 - B t^2)/(1 + t^2) and both integrands are rational in t on
+    [0, T]:
 
         I0 = (4R/g^3) integral (1 - t^4) / (1 - B t^2)^3 dt
         I1 = (4R/g^3) integral 4 t^2 (1 + t^2) / ((1 - t^2)(1 - B t^2)^3) dt
@@ -197,12 +210,12 @@ def arc_energy(geom: ArcGeometry, model: EnergyModel) -> LineEnergy:
     pfa/ntlo deviation) stay accurate.
 
     Raises PfaViolationError when gap/radius reaches the 0.5 hard threshold
-    of validate_pfa(); contact is already excluded by the geometry.
+    of validate_pfa().
     """
-    report = geom.validate_pfa()
-    if report.hard_failure:
+    ratio = geom.gap / geom.radius
+    if ratio >= PFA_FAIL_RATIO:
         raise PfaViolationError(
-            f"gap/radius = {report.ratio:.3g} >= 0.5; the arc energy is not "
+            f"gap/radius = {ratio:.3g} >= 0.5; the arc energy is not "
             "evaluated beyond the proximity approximation's hard threshold"
         )
     R, Y, g = geom.radius, geom.half_span, geom.gap
@@ -224,5 +237,4 @@ def arc_energy(geom: ArcGeometry, model: EnergyModel) -> LineEnergy:
         - 4.0 * ((B + 1.0) ** 2 - 2.0) / (B * D * D) * k2
         + 8.0 / D**3 * (B * k1 - math.atanh(T))
     )
-    weight = model.gradient_weight * (2.0 / 3.0)
-    return LineEnergy(value=-_ARC_COEF * (i0 + weight * i1), model=model)
+    return i0, i1

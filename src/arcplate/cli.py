@@ -13,8 +13,6 @@ timestamps only ever appear in JSON metadata.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import re
@@ -22,9 +20,9 @@ import shlex
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .analysis import MAX_POINTS, SweepConfig, SweepTable, run_sweep
+from .analysis import MAX_POINTS, SweepConfig, SweepRow, SweepTable, run_sweep
 from .casimir import (
     CODATA,
     NTLO,
@@ -37,7 +35,7 @@ from .casimir import (
     sphere_plate_energy,
     sphere_plate_force,
 )
-from .elasticity import Material, builtin_materials, material_by_name, thin_plate_check
+from .elasticity import _BUILTIN_ARGS, Material, thin_plate_check
 from .errors import (
     ArcPlateError,
     MaterialConfigError,
@@ -52,16 +50,19 @@ EXIT_USAGE = 2
 EXIT_PHYSICS = 3
 EXIT_CONFIG = 4
 
+# Unit -> decimal exponent of its size in metres.
 _UNITS = {
-    "pm": 1e-12,
-    "nm": 1e-9,
-    "um": 1e-6,
-    "µm": 1e-6,
-    "mm": 1e-3,
-    "cm": 1e-2,
-    "m": 1.0,
+    "pm": -12,
+    "nm": -9,
+    "um": -6,
+    "µm": -6,
+    "mm": -3,
+    "cm": -2,
+    "m": 0,
 }
-_LENGTH_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)([a-zA-Zµ]+)$")
+_LENGTH_RE = re.compile(
+    r"^([+-]?(?:\d+\.?\d*|\.\d+))(?:[eE]([+-]?\d+))?([a-zA-Zµ]+)$"
+)
 
 # CSV column tokens for the builtin materials; anything else gets its
 # lowercased name with non-alphanumerics collapsed to underscores.
@@ -76,20 +77,23 @@ class _CliFailure(Exception):
 
 
 def parse_length(text: str) -> float:
-    """'0.1um' -> 1e-7. Bare numbers are an error: units must be explicit."""
+    """'0.1um' -> 1e-7. Bare numbers are an error: units must be explicit.
+
+    The unit shifts the decimal exponent, so the text rounds to a float once:
+    '100um' is exactly float('100e-6'), not 100 * 1e-6."""
     match = _LENGTH_RE.match(text.strip())
     if match is None:
         raise argparse.ArgumentTypeError(
             f"length {text!r} must be a number with a unit suffix "
             f"({', '.join(sorted(set(_UNITS), key=len))}), e.g. 0.1um"
         )
-    number, unit = match.groups()
+    mantissa, exponent, unit = match.groups()
     if unit not in _UNITS:
         raise argparse.ArgumentTypeError(
             f"unknown length unit {unit!r} in {text!r}; "
             f"use one of {', '.join(sorted(set(_UNITS), key=len))}"
         )
-    return float(number) * _UNITS[unit]
+    return float(f"{mantissa}e{int(exponent or 0) + _UNITS[unit]}")
 
 
 def parse_model(token: str) -> EnergyModel:
@@ -189,18 +193,35 @@ def _material_from_entry(entry: object, index: int, path: str) -> Material:
     )
 
 
+def _material_pool(file_path: str | None) -> dict[str, Material | None]:
+    """Lower-cased name -> material: the builtins overlaid with the config
+    file, which wins on name collision. A builtin maps to None until _pick
+    builds it, so a command warns only about the materials it uses."""
+    pool: dict[str, Material | None] = dict.fromkeys(_BUILTIN_ARGS)
+    if file_path:
+        pool.update((mat.name.lower(), mat) for mat in load_materials(file_path))
+    return pool
+
+
+def _pick(pool: dict[str, Material | None], name: str) -> Material:
+    """Case-insensitive lookup in the pool, as material_by_name does it."""
+    wanted = name.strip().lower()
+    if wanted not in pool:
+        known = ", ".join(key if mat is None else mat.name for key, mat in pool.items())
+        raise MaterialNotFoundError(f"unknown material {name!r}; available: {known}")
+    mat = pool[wanted]
+    return Material(wanted, **_BUILTIN_ARGS[wanted]) if mat is None else mat
+
+
 def merged_materials(file_path: str | None) -> list[Material]:
     """Builtins overlaid with the config file; file wins on name collision."""
-    pool = {m.name.lower(): m for m in builtin_materials()}
-    if file_path:
-        for mat in load_materials(file_path):
-            pool[mat.name.lower()] = mat
-    return list(pool.values())
+    pool = _material_pool(file_path)
+    return [_pick(pool, name) for name in pool]
 
 
 def resolve_materials(names_csv: str, file_path: str | None) -> tuple[Material, ...]:
-    pool = merged_materials(file_path)
-    return tuple(material_by_name(name, pool) for name in names_csv.split(","))
+    pool = _material_pool(file_path)
+    return tuple(_pick(pool, name) for name in names_csv.split(","))
 
 
 def material_key(name: str) -> str:
@@ -210,31 +231,69 @@ def material_key(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_") or "material"
 
 
-def _fnum(x: float) -> str:
-    # repr round-trips bit-exactly and always carries >= 6 significant digits
-    return repr(float(x))
+def _sweep_columns(
+    config: SweepConfig,
+) -> tuple[list[tuple[str, str | None]], Callable[[SweepRow], list[float]]]:
+    """The one column spec of a sweep's outputs.
+
+    Returns (columns, values): columns holds (sidecar key, CSV header) for
+    every value a row reports, in sidecar order, with None as the header of
+    a value the CSV leaves out; values(row) returns the row's values in that
+    order. The CSV keeps the gap, every energy, the reference model's
+    thickness per material and the deviation, a subsequence of the sidecar's
+    columns.
+    """
+    ref = config.reference_model()
+    keys = [model.key for model in config.models]
+    cells = [(mat.name, key) for mat in config.materials for key in keys]
+    has_delta = config.resolved_comparison() is not None
+    columns: list[tuple[str, str | None]] = [("gap_m", "gap_m")]
+    columns += [(f"u_{key}_J_per_m",) * 2 for key in keys]
+    for name, key in cells:
+        token = material_key(name)
+        columns.append(
+            (f"t_max_{token}_{key}_m", f"t_max_{token}_m" if key == ref.key else None)
+        )
+    if has_delta:
+        columns.append(("delta", "delta"))
+
+    def values(row: SweepRow) -> list[float]:
+        out = [row.gap, *map(row.energies.__getitem__, keys)]
+        out += map(row.thickness.__getitem__, cells)
+        if has_delta:
+            out.append(row.delta)
+        return out
+
+    return columns, values
 
 
-def sweep_csv(table: SweepTable) -> str:
-    cfg = table.config
-    ref = cfg.reference_model()
-    pair = cfg.resolved_comparison()
-    header = ["gap_m"]
-    header += [f"u_{model.key}_J_per_m" for model in cfg.models]
-    header += [f"t_max_{material_key(mat.name)}_m" for mat in cfg.materials]
-    if pair is not None:
-        header.append("delta")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+def _render_sweep(table: SweepTable) -> tuple[str, str]:
+    """The CSV text and the sidecar's "rows" array as JSON text, in one pass.
+
+    Each value is formatted once, by repr (which round-trips bit-exactly and
+    is also how json writes a finite float), and the same string goes to the
+    CSV cell and to the sidecar row. The rows array is laid out as
+    json.dumps(..., indent=2) lays it out as the value of a top-level key.
+    """
+    columns, values = _sweep_columns(table.config)
+    in_csv = [i for i, (_, header) in enumerate(columns) if header is not None]
+    labels = [json.dumps(key) + ": " for key, _ in columns]
+    csv_lines = [",".join(header for _, header in columns if header is not None)]
+    json_rows = []
     for row in table.rows:
-        cells = [_fnum(row.gap)]
-        cells += [_fnum(row.energies[model.key]) for model in cfg.models]
-        cells += [_fnum(row.thickness[(mat.name, ref.key)]) for mat in cfg.materials]
-        if pair is not None:
-            cells.append(_fnum(row.delta))
-        writer.writerow(cells)
-    return buf.getvalue()
+        numbers = values(row)
+        texts = list(map(repr, numbers))
+        csv_lines.append(",".join([texts[i] for i in in_csv]))
+        if not math.isfinite(sum(numbers)):
+            # json writes NaN and Infinity where repr writes nan and inf. The
+            # sum is non-finite whenever a value is; on a finite overflow
+            # json.dumps simply repeats repr.
+            texts = list(map(json.dumps, numbers))
+        json_rows.append(
+            "{\n      " + ",\n      ".join(map(str.__add__, labels, texts)) + "\n    }"
+        )
+    rows_json = "[\n    " + ",\n    ".join(json_rows) + "\n  ]"
+    return "\n".join(csv_lines) + "\n", rows_json
 
 
 def make_record(
@@ -259,6 +318,20 @@ def make_record(
     }
 
 
+def _record_json(record: dict, rows_json: str) -> str:
+    """json.dumps(record, indent=2) + "\n" with rows_json, a rows array laid
+    out for that position, in place of record["rows"]. Nested values are
+    dumped alone and indented one level; json escapes every newline inside a
+    string, so each literal newline starts a line of the layout."""
+    items = [
+        json.dumps(key)
+        + ": "
+        + (rows_json if key == "rows" else json.dumps(value, indent=2).replace("\n", "\n  "))
+        for key, value in record.items()
+    ]
+    return "{\n  " + ",\n  ".join(items) + "\n}\n"
+
+
 def _material_dict(mat: Material) -> dict:
     d = {
         "name": mat.name,
@@ -272,27 +345,13 @@ def _material_dict(mat: Material) -> dict:
     return d
 
 
-def _sidecar_rows(table: SweepTable) -> list[dict]:
-    cfg = table.config
-    rows = []
-    for row in table.rows:
-        d: dict = {"gap_m": row.gap}
-        for model in cfg.models:
-            d[f"u_{model.key}_J_per_m"] = row.energies[model.key]
-        for mat in cfg.materials:
-            for model in cfg.models:
-                d[f"t_max_{material_key(mat.name)}_{model.key}_m"] = row.thickness[
-                    (mat.name, model.key)
-                ]
-        if row.delta is not None:
-            d["delta"] = row.delta
-        rows.append(d)
-    return rows
-
-
 def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     if args.gap_min > args.gap_max:
         raise _CliFailure(EXIT_USAGE, "gap-min exceeds gap-max")
+    if not 1 <= args.points <= MAX_POINTS:
+        raise _CliFailure(
+            EXIT_USAGE, f"points must lie in [1, {MAX_POINTS:,}], got {args.points}"
+        )
     materials = resolve_materials(args.materials, args.materials_file)
     config = SweepConfig(
         gap_min=args.gap_min,
@@ -304,7 +363,7 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
         models=args.models,
     )
     table = run_sweep(config)
-    text = sweep_csv(table)
+    text, rows_json = _render_sweep(table)
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
         return EXIT_OK
@@ -313,7 +372,7 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     sidecar = out.with_name(out.stem + ".meta.json")
     record = make_record(
         argv,
-        _sidecar_rows(table),
+        [],  # laid out by _render_sweep; _record_json puts rows_json here
         geometry={
             "radius_m": config.radius,
             "half_span_m": config.half_span,
@@ -328,7 +387,7 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
             "csv_file": out.name,
         },
     )
-    sidecar.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    sidecar.write_text(_record_json(record, rows_json), encoding="utf-8")
 
     ref = config.reference_model()
 
@@ -425,8 +484,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_materials(args: argparse.Namespace, argv: list[str]) -> int:
-    pool = merged_materials(args.materials_file)
     if args.materials_command == "list":
+        pool = merged_materials(args.materials_file)
         print(f"{'name':<14} {'E_Pa':>12} {'nu':>8} {'sigma_E_Pa':>12} {'sigma_nu':>9}")
         for mat in pool:
             sig_e = f"{mat.sigma_e:.4g}" if mat.sigma_e is not None else "-"
@@ -436,7 +495,7 @@ def cmd_materials(args: argparse.Namespace, argv: list[str]) -> int:
                 f"{mat.poisson_ratio:>8.4g} {sig_e:>12} {sig_nu:>9}"
             )
         return EXIT_OK
-    mat = material_by_name(args.name, pool)
+    mat = _pick(_material_pool(args.materials_file), args.name)
     record = make_record(argv, [_material_dict(mat)], geometry=None)
     print(json.dumps(record, indent=2))
     return EXIT_OK

@@ -84,13 +84,17 @@ class Material:
         return self.youngs_modulus / (1.0 - self.poisson_ratio**2)
 
 
+# Material arguments of the shipped materials, by name. Building silver warns
+# (its thin-film Poisson ratio), so a caller that needs one builds only that.
+_BUILTIN_ARGS = {
+    "gold": dict(youngs_modulus=97e9, poisson_ratio=0.421, sigma_e=10e9, sigma_nu=0.06),
+    "silver": dict(youngs_modulus=83.6e9, poisson_ratio=0.517),
+}
+
+
 def builtin_materials() -> list[Material]:
     """The two membrane materials shipped with the package."""
-    return [
-        Material("gold", youngs_modulus=97e9, poisson_ratio=0.421,
-                 sigma_e=10e9, sigma_nu=0.06),
-        Material("silver", youngs_modulus=83.6e9, poisson_ratio=0.517),
-    ]
+    return [Material(name, **args) for name, args in _BUILTIN_ARGS.items()]
 
 
 def material_by_name(

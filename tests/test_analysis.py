@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import arcplate.analysis
 from arcplate import (
     NTLO,
     PFA,
     ArcGeometry,
     ContactViolationError,
+    Material,
     NonNegativeEnergyError,
+    PfaViolationError,
     SweepConfig,
     ZeroReferenceError,
     arc_energy,
@@ -22,6 +25,7 @@ from arcplate import (
     scaled_ntlo,
 )
 from arcplate.analysis import MAX_POINTS
+from arcplate.casimir import _arc_integrals
 
 R = 100e-6
 Y_MAX = 3e-6
@@ -124,6 +128,11 @@ class TestSweepConfig:
     def test_single_point_grid(self):
         cfg = config(gap_min=0.5e-6, gap_max=0.5e-6, points=1)
         assert list(cfg.gaps()) == [0.5e-6]
+
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_integer_bounds_give_float_gaps(self, points):
+        gaps = config(gap_min=1, gap_max=2, points=points).gaps()
+        assert all(type(g) is float for g in gaps)
 
     @pytest.mark.parametrize(
         "gap_min,gap_max,points",
@@ -284,3 +293,57 @@ class TestRunSweep:
             assert row_a.energies == row_b.energies
             assert row_a.thickness == row_b.thickness
             assert row_a.delta == row_b.delta
+
+
+# The many-models mix: every model shares one arc-integral pair per gap.
+MANY_MODELS = (PFA, NTLO, *(scaled_ntlo(k / 10) for k in range(1, 10)))
+FOIL = Material("foil", youngs_modulus=70e9, poisson_ratio=0.35)
+SAGITTA = ArcGeometry(radius=R, half_span=Y_MAX, gap=0.1e-6).sagitta
+
+
+class TestSweepKernel:
+    """run_sweep against a direct, per-value evaluation of every row."""
+
+    @pytest.mark.parametrize(
+        "gap_min,gap_max,points",
+        [(0.1e-6, 1.0e-6, 60), (1.0001 * SAGITTA, 1.3 * SAGITTA, 60)],
+        ids=["default-range", "near-contact"],
+    )
+    def test_rows_equal_direct_evaluation(self, gap_min, gap_max, points):
+        cfg = config(
+            gap_min=gap_min, gap_max=gap_max, points=points,
+            models=MANY_MODELS, materials=(GOLD, SILVER, FOIL),
+        )
+        table = run_sweep(cfg)
+        assert [row.gap for row in table.rows] == cfg.gaps()
+        for row in table.rows:
+            geom = ArcGeometry(radius=R, half_span=Y_MAX, gap=row.gap)
+            energies = {m.key: arc_energy(geom, m).value for m in MANY_MODELS}
+            thickness = {
+                (mat.name, key): critical_thickness(u, mat, geom)
+                for mat in (GOLD, SILVER, FOIL)
+                for key, u in energies.items()
+            }
+            assert row.energies == energies
+            assert row.thickness == thickness
+            assert row.delta == fractional_deviation(
+                thickness[("gold", "pfa")], thickness[("gold", "ntlo")]
+            )
+        assert table.arc_length == GEOM.arc_length()
+
+    @pytest.mark.parametrize("models", [(NTLO,), (PFA, NTLO), MANY_MODELS])
+    def test_one_arc_integral_per_gap(self, monkeypatch, models):
+        calls = []
+
+        def counted(geom):
+            calls.append(geom.gap)
+            return _arc_integrals(geom)
+
+        monkeypatch.setattr(arcplate.analysis, "_arc_integrals", counted)
+        cfg = config(points=17, models=models, materials=(GOLD, SILVER, FOIL))
+        run_sweep(cfg)
+        assert calls == cfg.gaps()
+
+    def test_half_radius_aborts(self):
+        with pytest.raises(PfaViolationError):
+            run_sweep(config(gap_min=40e-6, gap_max=60e-6, points=3))

@@ -1,13 +1,15 @@
 """Command-line interface: parsing, outputs, exit codes, determinism.
 
-Everything runs in-process through main(argv) except three subprocess checks:
+Everything runs in-process through main(argv) except the subprocess checks:
 `python -m arcplate`, the `arcplate` console script declared in
 pyproject.toml, launched by name through the same launcher pip writes on
-install, and the import of arcplate.cli without numpy. All import the
+install, the import of arcplate.cli without numpy, and the stderr of
+commands that must not warn about materials they do not use. All import the
 arcplate package this suite imported, so none needs an install.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,14 +17,26 @@ from datetime import datetime
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arcplate
-from arcplate import NTLO, PFA, SweepConfig, material_by_name, run_sweep, scaled_ntlo
+from arcplate import (
+    NTLO,
+    PFA,
+    SweepConfig,
+    SweepRow,
+    SweepTable,
+    material_by_name,
+    run_sweep,
+    scaled_ntlo,
+)
 from arcplate.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PHYSICS,
     EXIT_USAGE,
+    _render_sweep,
     main,
     material_key,
     parse_length,
@@ -39,6 +53,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Decimal exponent of each unit's size in metres.
+UNIT_EXPONENTS = {"pm": -12, "nm": -9, "um": -6, "µm": -6, "mm": -3, "cm": -2, "m": 0}
+
+
 class TestParseLength:
     @pytest.mark.parametrize(
         "text,expected",
@@ -46,18 +64,33 @@ class TestParseLength:
             ("1m", 1.0),
             ("1cm", 1e-2),
             ("1mm", 1e-3),
-            ("100um", 100 * 1e-6),
-            ("100µm", 100 * 1e-6),
-            ("0.1um", 0.1 * 1e-6),
-            ("10nm", 10 * 1e-9),
-            ("5pm", 5 * 1e-12),
-            ("1e-1um", 1e-1 * 1e-6),
-            ("+2nm", 2 * 1e-9),
-            (" 3nm ", 3 * 1e-9),  # float(3) * 1e-9, not the literal 3e-9
+            ("1.5mm", 1.5e-3),
+            ("100um", 1e-4),  # 100 * 1e-6 would round twice, to 9.999999999999999e-05
+            ("100µm", 1e-4),
+            ("6um", 6e-6),
+            ("0.1um", 1e-7),
+            ("10nm", 1e-8),
+            ("5pm", 5e-12),
+            ("1e-1um", 1e-7),
+            ("+2nm", 2e-9),
+            (" 3nm ", 3e-9),  # the literal 3e-9, not float(3) * 1e-9
         ],
     )
     def test_accepted(self, text, expected):
         assert parse_length(text) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mantissa=st.from_regex(r"[+-]?(\d{1,20}(\.\d{0,20})?|\.\d{1,20})", fullmatch=True),
+        exponent=st.integers(-340, 320),
+        unit=st.sampled_from(sorted(UNIT_EXPONENTS)),
+    )
+    def test_unit_shifts_the_exponent(self, mantissa, exponent, unit):
+        shifted = float(f"{mantissa}e{exponent + UNIT_EXPONENTS[unit]}")
+        assert parse_length(f"{mantissa}e{exponent}{unit}") == shifted
+        assert parse_length(f"{mantissa}{unit}") == float(
+            f"{mantissa}e{UNIT_EXPONENTS[unit]}"
+        )
 
     @pytest.mark.parametrize(
         "text", ["100", "0.1", "nm", "abc", "1.5.2um", "0.1 um", "1km", "1fm", ""]
@@ -265,6 +298,104 @@ class TestSweep:
         )
         assert code == EXIT_CONFIG
         assert "error:" in err
+
+
+class TestSweepOutputContract:
+    """The CSV and the sidecar are written from one formatting of each value."""
+
+    CASES = {
+        "default": ((), "ntlo"),
+        "many-models": (
+            ("--points", "30",
+             "--models", "pfa,ntlo," + ",".join(f"scaled-ntlo:{k / 10}" for k in range(1, 10)),
+             "--materials", "gold,silver,My Alloy-2"),
+            "ntlo",
+        ),
+        "one-model": (("--points", "5", "--models", "scaled-ntlo:0.5"), "scaled_ntlo_0.5"),
+        "one-point": (("--points", "1", "--gap-min", "0.3um", "--gap-max", "0.3um"), "ntlo"),
+    }
+
+    @pytest.fixture(params=sorted(CASES))
+    def outputs(self, request, capsys, tmp_path):
+        argv, reference = self.CASES[request.param]
+        materials = tmp_path / "materials.json"
+        materials.write_text(
+            '[{"name": "My Alloy-2", "youngs_modulus_pa": 50e9, "poisson_ratio": 0.3}]'
+        )
+        out = tmp_path / "s.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", *argv, "--materials-file", str(materials), "--out", str(out)
+        )
+        assert code == EXIT_OK
+        return out.read_text(), (tmp_path / "s.meta.json").read_text(), reference
+
+    def test_sidecar_is_indent2_json(self, outputs):
+        _, sidecar, _ = outputs
+        assert sidecar == json.dumps(json.loads(sidecar), indent=2) + "\n"
+
+    def test_csv_cells_are_the_sidecar_strings(self, outputs):
+        csv_text, sidecar, reference = outputs
+        header, *lines = csv_text.splitlines()
+        rows = json.loads(sidecar, parse_float=str)["rows"]
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            for name, cell in zip(header.split(","), line.split(",")):
+                if name.startswith("t_max_"):
+                    name = f"{name[:-2]}_{reference}_m"
+                assert row[name] == cell
+
+    def test_non_finite_values_are_written_as_json_writes_them(self):
+        cfg = SweepConfig(
+            gap_min=1e-7, gap_max=1e-7, points=1, radius=1e-4, half_span=3e-6,
+            materials=(material_by_name("gold"),), models=(PFA, NTLO),
+        )
+        row = SweepRow(
+            gap=1e-7,
+            energies={"pfa": -math.inf, "ntlo": math.nan},
+            thickness={("gold", "pfa"): math.inf, ("gold", "ntlo"): 1e-9},
+            delta=math.nan,
+        )
+        csv_text, rows_json = _render_sweep(SweepTable(cfg, (row,), arc_length=6e-6))
+        assert csv_text.splitlines()[1] == "1e-07,-inf,nan,1e-09,nan"
+        values = [1e-7, -math.inf, math.nan, math.inf, 1e-9, math.nan]
+        keys = ["gap_m", "u_pfa_J_per_m", "u_ntlo_J_per_m", "t_max_au_pfa_m",
+                "t_max_au_ntlo_m", "delta"]
+        expected = json.dumps({"rows": [dict(zip(keys, values))]}, indent=2)
+        assert expected == '{\n  "rows": ' + rows_json + "\n}"
+
+
+class TestMaterialWarnings:
+    """stderr names no material that the command does not use."""
+
+    def run(self, tmp_path, *argv):
+        env = subprocess_env()
+        env.pop("PYTHONWARNINGS", None)
+        return subprocess.run(
+            [sys.executable, "-m", "arcplate", *argv],
+            capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path,
+        )
+
+    def test_gold_sweep_is_quiet(self, tmp_path):
+        result = self.run(tmp_path, "sweep", "--materials", "gold", "--points", "2",
+                          "--out", "g.csv")
+        assert result.returncode == EXIT_OK
+        assert result.stderr == ""
+
+    def test_rejected_points_build_no_material(self, tmp_path):
+        result = self.run(tmp_path, "sweep", "--points", "2000000")
+        assert result.returncode == EXIT_USAGE
+        assert result.stderr == "error: points must lie in [1, 1,000,000], got 2000000\n"
+
+    def test_show_gold_is_quiet(self, tmp_path):
+        result = self.run(tmp_path, "materials", "show", "gold")
+        assert result.returncode == EXIT_OK
+        assert result.stderr == ""
+
+    def test_default_sweep_warns_about_silver_once(self, tmp_path):
+        result = self.run(tmp_path, "sweep", "--points", "2", "--out", "d.csv")
+        assert result.returncode == EXIT_OK
+        assert result.stderr.count("MaterialWarning") == 1
+        assert "silver: poisson ratio 0.517" in result.stderr
 
 
 class TestEnergy:
