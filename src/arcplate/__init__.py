@@ -45,6 +45,7 @@ from .errors import (
     ContactViolationError,
     MaterialConfigError,
     MaterialNotFoundError,
+    NonFiniteResultError,
     NonNegativeEnergyError,
     NonPositiveGapError,
     NonPositiveThicknessError,
@@ -68,6 +69,7 @@ __all__ = [
     "MaterialConfigError",
     "MaterialNotFoundError",
     "MaterialWarning",
+    "NonFiniteResultError",
     "NonNegativeEnergyError",
     "NonPositiveGapError",
     "NonPositiveThicknessError",

@@ -9,12 +9,13 @@ this across a uniform grid of gaps for every requested material and model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .casimir import _ARC_COEF, NTLO, PFA, EnergyModel, _arc_integrals
 from .elasticity import Material
-from .errors import NonNegativeEnergyError, ZeroReferenceError
+from .errors import NonFiniteResultError, NonNegativeEnergyError, ZeroReferenceError
 from .geometry import ArcGeometry
 
 __all__ = [
@@ -39,22 +40,35 @@ def critical_thickness(u_casimir: float, mat: Material, geom: ArcGeometry) -> fl
     value is the equality point |U| = U_bend(t), i.e. the supremum of
     admissible thicknesses, with the same arc length as bending_energy.
     """
-    _check_attractive(u_casimir)
     coef = _bending_coefficient(mat, geom.arc_length(), geom.radius)
-    return (-u_casimir / coef) ** (1.0 / 3.0)
+    return _thicknesses([u_casimir], [coef])[0]
 
 
 def _bending_coefficient(mat: Material, arc_length: float, radius: float) -> float:
     """C = E L / (24 (1 - nu^2) R^2), J/m^4: bending energy per cubed
     thickness. It does not depend on the gap."""
-    return mat.plane_strain_modulus * arc_length / (24.0 * radius**2)
-
-
-def _check_attractive(u_casimir: float) -> None:
-    if u_casimir >= 0.0:
-        raise NonNegativeEnergyError(
-            f"need an attractive (negative) energy, got {u_casimir}"
+    try:
+        coef = mat.plane_strain_modulus * arc_length / (24.0 * radius**2)
+    except OverflowError:
+        coef = 0.0
+    if not 0.0 < coef < math.inf:
+        raise NonFiniteResultError(
+            f"{mat.name}: bending coefficient {coef} J/m^4 at radius {radius} m "
+            "is not a positive double"
         )
+    return coef
+
+
+def _thicknesses(us: list[float], coefs: list[float]) -> list[float]:
+    """(-u / C)^(1/3) for every bending coefficient C and, innermost, every
+    energy u. Each u must be negative and each result positive and finite."""
+    for u in us:
+        if not u < 0.0:
+            raise NonNegativeEnergyError(f"need an attractive (negative) energy, got {u}")
+    ts = [(-u / coef) ** (1.0 / 3.0) for coef in coefs for u in us]
+    if 0.0 in ts or math.inf in ts:  # -u / C underflowed or overflowed
+        raise NonFiniteResultError(f"critical thicknesses {ts} m leave the range of a double")
+    return ts
 
 
 def fractional_deviation(t_a: float, t_b: float) -> float:
@@ -176,11 +190,7 @@ def run_sweep(config: SweepConfig) -> SweepTable:
         geom = ArcGeometry(radius=config.radius, half_span=config.half_span, gap=gap)
         i0, i1 = _arc_integrals(geom)
         us = [-_ARC_COEF * (i0 + weight * i1) for weight in weights]
-        for u in us:
-            _check_attractive(u)
-        thickness = dict(
-            zip(cells, [(-u / coef) ** (1.0 / 3.0) for coef in coefs for u in us])
-        )
+        thickness = dict(zip(cells, _thicknesses(us, coefs)))
         delta = None
         if pair is not None:
             delta = fractional_deviation(thickness[other], thickness[reference])

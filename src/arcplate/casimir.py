@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import NonPositiveGapError, PfaViolationError
+from .errors import NonFiniteResultError, NonPositiveGapError, PfaViolationError
 from .geometry import PFA_FAIL_RATIO, ArcGeometry
 
 __all__ = [
@@ -210,7 +210,9 @@ def _arc_integrals(geom: ArcGeometry) -> tuple[float, float]:
     pfa/ntlo deviation) stay accurate.
 
     Raises PfaViolationError when gap/radius reaches the 0.5 hard threshold
-    of validate_pfa().
+    of validate_pfa(), and NonFiniteResultError when I0 is not positive or
+    I0 + I1 is not finite in double precision, so that every energy formed
+    from them is finite and negative.
     """
     ratio = geom.gap / geom.radius
     if ratio >= PFA_FAIL_RATIO:
@@ -229,12 +231,17 @@ def _arc_integrals(geom: ArcGeometry) -> tuple[float, float]:
     k1 = math.log1p(2.0 * b * T * (1.0 + b * T) / w) / (2.0 * b)
     k2 = T / (2.0 * w) + 0.5 * k1
     k3 = T / (4.0 * w * w) + 0.75 * k2
-    scale = 4.0 * R / g**3
-    i0 = scale * ((1.0 - 1.0 / (B * B)) * k3 + (2.0 * k2 - k1) / (B * B))
     D = 2.0 * (R - g) / g  # B - 1, > 2 below the hard threshold
-    i1 = scale * (
-        4.0 * (B + 1.0) / (B * D) * k3
-        - 4.0 * ((B + 1.0) ** 2 - 2.0) / (B * D * D) * k2
-        + 8.0 / D**3 * (B * k1 - math.atanh(T))
-    )
+    try:  # g**3 can underflow to zero and the powers of B overflow
+        scale = 4.0 * R / g**3
+        i0 = scale * ((1.0 - 1.0 / (B * B)) * k3 + (2.0 * k2 - k1) / (B * B))
+        i1 = scale * (
+            4.0 * (B + 1.0) / (B * D) * k3
+            - 4.0 * ((B + 1.0) ** 2 - 2.0) / (B * D * D) * k2
+            + 8.0 / D**3 * (B * k1 - math.atanh(T))
+        )
+    except (OverflowError, ZeroDivisionError):
+        i0 = i1 = math.nan
+    if not (i0 > 0.0 and math.isfinite(i0 + i1)):
+        raise NonFiniteResultError(f"arc integrals at radius {R} m, gap {g} m out of double range")
     return i0, i1

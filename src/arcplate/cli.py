@@ -13,6 +13,7 @@ timestamps only ever appear in JSON metadata.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -35,12 +36,8 @@ from .casimir import (
     sphere_plate_energy,
     sphere_plate_force,
 )
-from .elasticity import _BUILTIN_ARGS, Material, thin_plate_check
-from .errors import (
-    ArcPlateError,
-    MaterialConfigError,
-    MaterialNotFoundError,
-)
+from .elasticity import _BUILTINS, Material, _build_material, _range_error, thin_plate_check
+from .errors import ArcPlateError, MaterialConfigError, MaterialNotFoundError
 from .geometry import ArcGeometry
 
 SCHEMA_VERSION = "2"
@@ -49,6 +46,15 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PHYSICS = 3
 EXIT_CONFIG = 4
+
+# Exit code of each error main() reports: that of the first kind it is.
+_EXIT_CODES = {
+    MaterialConfigError: EXIT_CONFIG,
+    MaterialNotFoundError: EXIT_USAGE,
+    ArcPlateError: EXIT_PHYSICS,
+    ValueError: EXIT_USAGE,
+    OSError: EXIT_CONFIG,
+}
 
 # Unit -> decimal exponent of its size in metres.
 _UNITS = {
@@ -67,13 +73,6 @@ _LENGTH_RE = re.compile(
 # CSV column tokens for the builtin materials; anything else gets its
 # lowercased name with non-alphanumerics collapsed to underscores.
 _MATERIAL_KEYS = {"gold": "au", "silver": "ag"}
-
-
-class _CliFailure(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
 
 
 def parse_length(text: str) -> float:
@@ -123,105 +122,64 @@ def parse_models(text: str) -> tuple[EnergyModel, ...]:
     return tuple(parse_model(tok) for tok in text.split(","))
 
 
-_REQUIRED_FIELDS = ("name", "youngs_modulus_pa", "poisson_ratio")
-_OPTIONAL_FIELDS = ("sigma_e_pa", "sigma_nu")
+# Materials-file field -> Material argument; a field is required when its
+# argument has no default.
+_FIELDS = {
+    "name": "name",
+    "youngs_modulus_pa": "youngs_modulus",
+    "poisson_ratio": "poisson_ratio",
+    "sigma_e_pa": "sigma_e",
+    "sigma_nu": "sigma_nu",
+}
+_REQUIRED = {f.name for f in dataclasses.fields(Material) if f.default is dataclasses.MISSING}
 
 
-def load_materials(path: str) -> list[Material]:
-    """Parse a materials JSON file: an array of objects with the fields
-    name, youngs_modulus_pa, poisson_ratio and optional sigma_e_pa, sigma_nu.
+def material_table(path: str | None) -> dict[str, dict]:
+    """Lower-cased name -> Material arguments: the builtins overlaid with the
+    entries of the materials JSON file at ``path``, which win on a name
+    collision.
+
+    Every file entry is checked here, against the JSON shape and Material's
+    range rules, but none is built, so an entry no command uses cannot warn.
     Unknown fields are rejected so typos cannot silently fall back to
     builtin values."""
+    table = dict(_BUILTINS)
+    if not path:
+        return table
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
     except OSError as exc:
         raise MaterialConfigError(f"cannot read materials file {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise MaterialConfigError(f"materials file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise MaterialConfigError(f"materials file {path} must be a JSON array of objects")
-    return [_material_from_entry(entry, i, path) for i, entry in enumerate(doc)]
+    for index, entry in enumerate(doc):
+        args = _material_args(entry, f"{path}, entry {index}")
+        table[args["name"].lower()] = args
+    return table
 
 
-def _material_from_entry(entry: object, index: int, path: str) -> Material:
-    where = f"{path}, entry {index}"
+def _material_args(entry: object, where: str) -> dict:
     if not isinstance(entry, dict):
         raise MaterialConfigError(f"{where}: expected an object")
-    unknown = sorted(set(entry) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_FIELDS))
-    if unknown:
-        raise MaterialConfigError(f"{where}: unknown field(s) {unknown}")
-    missing = sorted(set(_REQUIRED_FIELDS) - set(entry))
-    if missing:
-        raise MaterialConfigError(f"{where}: missing field(s) {missing}")
+    for label, fields in (
+        ("unknown", entry.keys() - _FIELDS.keys()),
+        ("missing", {f for f, arg in _FIELDS.items() if arg in _REQUIRED} - entry.keys()),
+    ):
+        if fields:
+            raise MaterialConfigError(f"{where}: {label} field(s) {sorted(fields)}")
     name = entry["name"]
     if not isinstance(name, str) or not name.strip():
         raise MaterialConfigError(f'{where}: "name" must be a non-empty string')
-
-    def number(key: str) -> float | None:
-        if key not in entry:
-            return None
-        value = entry[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise MaterialConfigError(f'{where} ({name}): "{key}" must be a number')
-        if not math.isfinite(float(value)):
-            raise MaterialConfigError(f'{where} ({name}): "{key}" must be finite')
-        return float(value)
-
-    e_pa = number("youngs_modulus_pa")
-    nu = number("poisson_ratio")
-    if e_pa is None or e_pa <= 0.0:
-        raise MaterialConfigError(
-            f'{where} ({name}): "youngs_modulus_pa" must be > 0, got {e_pa}'
-        )
-    if nu is None or not (-1.0 < nu < 1.0):
-        raise MaterialConfigError(
-            f'{where} ({name}): "poisson_ratio" must lie in (-1, 1), got {nu}'
-        )
-    sigma_e = number("sigma_e_pa")
-    sigma_nu = number("sigma_nu")
-    for key, value in (("sigma_e_pa", sigma_e), ("sigma_nu", sigma_nu)):
-        if value is not None and value < 0.0:
-            raise MaterialConfigError(f'{where} ({name}): "{key}" must be >= 0')
-    return Material(
-        name=name.strip(),
-        youngs_modulus=e_pa,
-        poisson_ratio=nu,
-        sigma_e=sigma_e,
-        sigma_nu=sigma_nu,
-    )
-
-
-def _material_pool(file_path: str | None) -> dict[str, Material | None]:
-    """Lower-cased name -> material: the builtins overlaid with the config
-    file, which wins on name collision. A builtin maps to None until _pick
-    builds it, so a command warns only about the materials it uses."""
-    pool: dict[str, Material | None] = dict.fromkeys(_BUILTIN_ARGS)
-    if file_path:
-        pool.update((mat.name.lower(), mat) for mat in load_materials(file_path))
-    return pool
-
-
-def _pick(pool: dict[str, Material | None], name: str) -> Material:
-    """Case-insensitive lookup in the pool, as material_by_name does it."""
-    wanted = name.strip().lower()
-    if wanted not in pool:
-        known = ", ".join(key if mat is None else mat.name for key, mat in pool.items())
-        raise MaterialNotFoundError(f"unknown material {name!r}; available: {known}")
-    mat = pool[wanted]
-    return Material(wanted, **_BUILTIN_ARGS[wanted]) if mat is None else mat
-
-
-def merged_materials(file_path: str | None) -> list[Material]:
-    """Builtins overlaid with the config file; file wins on name collision."""
-    pool = _material_pool(file_path)
-    return [_pick(pool, name) for name in pool]
-
-
-def resolve_materials(names_csv: str, file_path: str | None) -> tuple[Material, ...]:
-    pool = _material_pool(file_path)
-    return tuple(_pick(pool, name) for name in names_csv.split(","))
+    for field, value in entry.items():
+        if field == "name":
+            continue
+        number = isinstance(value, float)  # JSON integers are read as floats
+        broken = _range_error(_FIELDS[field], value) if number else "must be a number"
+        if broken:
+            raise MaterialConfigError(f'{where} ({name}): "{field}" {broken}')
+    return {_FIELDS[field]: value for field, value in entry.items()} | {"name": name.strip()}
 
 
 def material_key(name: str) -> str:
@@ -333,26 +291,18 @@ def _record_json(record: dict, rows_json: str) -> str:
 
 
 def _material_dict(mat: Material) -> dict:
-    d = {
-        "name": mat.name,
-        "youngs_modulus_pa": mat.youngs_modulus,
-        "poisson_ratio": mat.poisson_ratio,
-    }
-    if mat.sigma_e is not None:
-        d["sigma_e_pa"] = mat.sigma_e
-    if mat.sigma_nu is not None:
-        d["sigma_nu"] = mat.sigma_nu
-    return d
+    """The material as a materials-file entry, without its unset sigmas."""
+    values = {field: getattr(mat, arg) for field, arg in _FIELDS.items()}
+    return {field: value for field, value in values.items() if value is not None}
 
 
 def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     if args.gap_min > args.gap_max:
-        raise _CliFailure(EXIT_USAGE, "gap-min exceeds gap-max")
+        raise ValueError("gap-min exceeds gap-max")
     if not 1 <= args.points <= MAX_POINTS:
-        raise _CliFailure(
-            EXIT_USAGE, f"points must lie in [1, {MAX_POINTS:,}], got {args.points}"
-        )
-    materials = resolve_materials(args.materials, args.materials_file)
+        raise ValueError(f"points must lie in [1, {MAX_POINTS:,}], got {args.points}")
+    table = material_table(args.materials_file)
+    materials = tuple(_build_material(table, name) for name in args.materials.split(","))
     config = SweepConfig(
         gap_min=args.gap_min,
         gap_max=args.gap_max,
@@ -415,10 +365,9 @@ _QUANTITIES = {
 def cmd_energy(args: argparse.Namespace, argv: list[str]) -> int:
     quantity = args.quantity or _QUANTITIES[args.geometry][0]
     if quantity not in _QUANTITIES[args.geometry]:
-        raise _CliFailure(
-            EXIT_USAGE,
+        raise ValueError(
             f"--quantity {quantity} not available for geometry {args.geometry}; "
-            f"choose from {', '.join(_QUANTITIES[args.geometry])}",
+            f"choose from {', '.join(_QUANTITIES[args.geometry])}"
         )
     if args.geometry == "arc":
         geom = ArcGeometry(radius=args.r, half_span=args.span / 2.0, gap=args.gap)
@@ -485,9 +434,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_materials(args: argparse.Namespace, argv: list[str]) -> int:
     if args.materials_command == "list":
-        pool = merged_materials(args.materials_file)
+        table = material_table(args.materials_file)
         print(f"{'name':<14} {'E_Pa':>12} {'nu':>8} {'sigma_E_Pa':>12} {'sigma_nu':>9}")
-        for mat in pool:
+        for key in table:
+            mat = _build_material(table, key)
             sig_e = f"{mat.sigma_e:.4g}" if mat.sigma_e is not None else "-"
             sig_nu = f"{mat.sigma_nu:.4g}" if mat.sigma_nu is not None else "-"
             print(
@@ -495,7 +445,7 @@ def cmd_materials(args: argparse.Namespace, argv: list[str]) -> int:
                 f"{mat.poisson_ratio:>8.4g} {sig_e:>12} {sig_nu:>9}"
             )
         return EXIT_OK
-    mat = _pick(_material_pool(args.materials_file), args.name)
+    mat = _build_material(material_table(args.materials_file), args.name)
     record = make_record(argv, [_material_dict(mat)], geometry=None)
     print(json.dumps(record, indent=2))
     return EXIT_OK
@@ -612,25 +562,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "materials":
             return cmd_materials(args, argv)
         raise AssertionError(f"unhandled command {args.command}")
-    except _CliFailure as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return exc.code
-    except MaterialConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MaterialNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ArcPlateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PHYSICS
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import MaterialNotFoundError, NonPositiveThicknessError
 from .geometry import ArcGeometry
@@ -38,6 +38,24 @@ class MaterialWarning(UserWarning):
     """Material parameters are unusual but accepted (e.g. nu above 0.5)."""
 
 
+# Range rule of each elastic constant: its test, and how the rule reads in an
+# error message. An unset (None) uncertainty passes.
+_SIGMA_RULE = (lambda v: v is None or 0.0 <= v < math.inf, "must be >= 0 and finite")
+_RULES = {
+    "youngs_modulus": (lambda v: 0.0 < v < math.inf, "must be positive and finite"),
+    "poisson_ratio": (lambda v: -1.0 < v < 1.0, "must lie in (-1, 1)"),
+    "sigma_e": _SIGMA_RULE,
+    "sigma_nu": _SIGMA_RULE,
+}
+
+
+def _range_error(arg: str, value: float | None) -> str | None:
+    """How ``value`` breaks the range rule of the Material argument ``arg``,
+    or None when it keeps it."""
+    keeps, rule = _RULES[arg]
+    return None if keeps(value) else f"{rule}, got {value}"
+
+
 @dataclass(frozen=True)
 class Material:
     """Isotropic elastic constants of one membrane material.
@@ -55,16 +73,10 @@ class Material:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("material name must be non-empty")
-        if not (self.youngs_modulus > 0.0 and math.isfinite(self.youngs_modulus)):
-            raise ValueError(
-                f"{self.name}: youngs modulus must be positive, "
-                f"got {self.youngs_modulus}"
-            )
-        if not (-1.0 < self.poisson_ratio < 1.0):
-            raise ValueError(
-                f"{self.name}: poisson ratio must lie in (-1, 1), "
-                f"got {self.poisson_ratio}"
-            )
+        for arg in _RULES:
+            broken = _range_error(arg, getattr(self, arg))
+            if broken:
+                raise ValueError(f"{self.name}: {arg} {broken}")
         if self.poisson_ratio > 0.5:
             # Thin-film values above the isotropic bulk bound are accepted
             # on purpose; flag them so the choice is visible.
@@ -74,9 +86,6 @@ class Material:
                 MaterialWarning,
                 stacklevel=3,  # past the generated dataclass __init__
             )
-        for label, sigma in (("sigma_e", self.sigma_e), ("sigma_nu", self.sigma_nu)):
-            if sigma is not None and sigma < 0.0:
-                raise ValueError(f"{self.name}: {label} must be >= 0, got {sigma}")
 
     @property
     def plane_strain_modulus(self) -> float:
@@ -84,30 +93,36 @@ class Material:
         return self.youngs_modulus / (1.0 - self.poisson_ratio**2)
 
 
-# Material arguments of the shipped materials, by name. Building silver warns
-# (its thin-film Poisson ratio), so a caller that needs one builds only that.
-_BUILTIN_ARGS = {
-    "gold": dict(youngs_modulus=97e9, poisson_ratio=0.421, sigma_e=10e9, sigma_nu=0.06),
-    "silver": dict(youngs_modulus=83.6e9, poisson_ratio=0.517),
+# Material arguments of the shipped materials, by lower-cased name. Building
+# silver warns (its thin-film Poisson ratio), so lookups build only the match.
+_BUILTINS = {
+    "gold": dict(name="gold", youngs_modulus=97e9, poisson_ratio=0.421, sigma_e=10e9, sigma_nu=0.06),
+    "silver": dict(name="silver", youngs_modulus=83.6e9, poisson_ratio=0.517),
 }
 
 
 def builtin_materials() -> list[Material]:
     """The two membrane materials shipped with the package."""
-    return [Material(name, **args) for name, args in _BUILTIN_ARGS.items()]
+    return [Material(**args) for args in _BUILTINS.values()]
 
 
-def material_by_name(
-    name: str, materials: Sequence[Material] | None = None
-) -> Material:
-    """Case-insensitive lookup in ``materials`` (builtins when omitted)."""
-    pool = builtin_materials() if materials is None else materials
-    wanted = name.strip().lower()
-    for mat in pool:
-        if mat.name.lower() == wanted:
-            return mat
-    known = ", ".join(m.name for m in pool)
-    raise MaterialNotFoundError(f"unknown material {name!r}; available: {known}")
+def _build_material(table: Mapping[str, Material | Mapping], name: str) -> Material:
+    """Case-insensitive lookup in ``table``, lower-cased name -> material or
+    Material arguments; only the entry returned is built."""
+    entry = table.get(name.strip().lower())
+    if entry is None:
+        raise MaterialNotFoundError(
+            f"unknown material {name!r}; available: {', '.join(table)}"
+        )
+    return entry if isinstance(entry, Material) else Material(**entry)
+
+
+def material_by_name(name: str, materials: Sequence[Material] | None = None) -> Material:
+    """Case-insensitive lookup in ``materials``, or in the builtins when
+    omitted, of which only the one returned is built."""
+    if materials is None:
+        return _build_material(_BUILTINS, name)
+    return _build_material({mat.name.lower(): mat for mat in materials}, name)
 
 
 @dataclass(frozen=True)

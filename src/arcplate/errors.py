@@ -34,6 +34,11 @@ class NonNegativeEnergyError(ArcPlateError, ValueError):
     """An attractive (negative) interaction energy was required."""
 
 
+class NonFiniteResultError(ArcPlateError, ArithmeticError):
+    """A result lies outside the range of a double: it overflows, underflows
+    to zero or is not a number."""
+
+
 class ZeroReferenceError(ArcPlateError, ValueError):
     """Reference value of a relative deviation must be positive."""
 

@@ -12,6 +12,7 @@ from arcplate import (
     ArcGeometry,
     ContactViolationError,
     Material,
+    NonFiniteResultError,
     NonNegativeEnergyError,
     PfaViolationError,
     SweepConfig,
@@ -76,10 +77,27 @@ class TestCriticalThickness:
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-14)
         assert ratios[1] == pytest.approx(ratios[2], rel=1e-14)
 
-    @pytest.mark.parametrize("bad", [0.0, 1e-15])
+    @pytest.mark.parametrize("bad", [0.0, 1e-15, math.nan])
     def test_rejects_nonnegative_energy(self, bad):
         with pytest.raises(NonNegativeEnergyError):
             critical_thickness(bad, GOLD, GEOM)
+
+    @pytest.mark.parametrize(
+        "u,mat,geom",
+        [
+            # radius**2 overflows in the bending coefficient
+            (-1e-15, GOLD, ArcGeometry(radius=1e200, half_span=0.5, gap=1e-3)),
+            # E L underflows to a zero bending coefficient
+            (-1e-15, Material("x", youngs_modulus=1e-320, poisson_ratio=0.3), GEOM),
+            # |u| / C overflows
+            (-1.0, Material("x", youngs_modulus=1e-313, poisson_ratio=0.3), GEOM),
+            # |u| / C underflows to zero
+            (-1e-300, Material("x", youngs_modulus=1e300, poisson_ratio=0.3), GEOM),
+        ],
+    )
+    def test_rejects_results_out_of_double_range(self, u, mat, geom):
+        with pytest.raises(NonFiniteResultError):
+            critical_thickness(u, mat, geom)
 
     @pytest.mark.parametrize("mat", [GOLD, SILVER])
     def test_round_trips_through_bending_energy(self, mat):
@@ -343,6 +361,19 @@ class TestSweepKernel:
         cfg = config(points=17, models=models, materials=(GOLD, SILVER, FOIL))
         run_sweep(cfg)
         assert calls == cfg.gaps()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(radius=1e-6, half_span=1e-106, gap_min=5e-107, gap_max=5e-107, points=1),
+            dict(radius=1e200, half_span=0.5, gap_min=1e-3, gap_max=1e-3, points=1),
+            dict(radius=1e-6, half_span=1e-9, gap_min=1e-12, gap_max=1e-12, points=1,
+                 materials=(Material("x", youngs_modulus=1e-313, poisson_ratio=0.3),)),
+        ],
+    )
+    def test_out_of_double_range_aborts(self, overrides):
+        with pytest.raises(NonFiniteResultError):
+            run_sweep(config(**overrides))
 
     def test_half_radius_aborts(self):
         with pytest.raises(PfaViolationError):

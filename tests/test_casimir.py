@@ -13,6 +13,7 @@ from arcplate import (
     PFA,
     ArcGeometry,
     EnergyModel,
+    NonFiniteResultError,
     NonPositiveGapError,
     PfaViolationError,
     arc_energy,
@@ -346,6 +347,21 @@ class TestArcEnergy:
         for model in (PFA, NTLO):
             oracle = mpmath_arc_energy(radius, half_span, gap, model.gradient_weight)
             assert abs(arc_energy(geom, model).value - oracle) <= 1e-10 * abs(oracle)
+
+    @pytest.mark.parametrize(
+        "radius,half_span,gap",
+        [
+            (1e-6, 1e-106, 5e-107),  # 4R/g**3 overflows: I0 = inf, I1 = nan
+            (1e-6, 1e-60, 1e-110),  # g**3 underflows to zero
+            (1e200, 0.5, 1e-3),  # (B + 1)**2 overflows
+            (1e160, 0.5, 1e60),  # R*R overflows, so T and I0 come out zero
+        ],
+    )
+    @pytest.mark.parametrize("model", [PFA, NTLO])
+    def test_rejects_results_out_of_double_range(self, radius, half_span, gap, model):
+        geom = ArcGeometry(radius=radius, half_span=half_span, gap=gap)
+        with pytest.raises(NonFiniteResultError):
+            arc_energy(geom, model)
 
     @pytest.mark.parametrize("gap", [50e-6, 60e-6])
     def test_rejects_gap_at_half_radius(self, gap):

@@ -391,6 +391,27 @@ class TestMaterialWarnings:
         assert result.returncode == EXIT_OK
         assert result.stderr == ""
 
+    def test_unused_file_entry_is_quiet(self, tmp_path):
+        (tmp_path / "r.json").write_text(
+            '[{"name": "rubber", "youngs_modulus_pa": 1e6, "poisson_ratio": 0.6}]'
+        )
+        result = self.run(tmp_path, "sweep", "--materials", "gold", "--points", "2",
+                          "--materials-file", "r.json", "--out", "g.csv")
+        assert result.returncode == EXIT_OK
+        assert result.stderr == ""
+
+    def test_unused_invalid_file_entry_is_rejected(self, tmp_path):
+        (tmp_path / "r.json").write_text(
+            '[{"name": "rubber", "youngs_modulus_pa": 1e6, "poisson_ratio": 1.6}]'
+        )
+        result = self.run(tmp_path, "sweep", "--materials", "gold", "--points", "2",
+                          "--materials-file", "r.json", "--out", "g.csv")
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr == (
+            'error: r.json, entry 0 (rubber): "poisson_ratio" must lie in (-1, 1), got 1.6\n'
+        )
+        assert not (tmp_path / "g.csv").exists()
+
     def test_default_sweep_warns_about_silver_once(self, tmp_path):
         result = self.run(tmp_path, "sweep", "--points", "2", "--out", "d.csv")
         assert result.returncode == EXIT_OK
@@ -515,6 +536,35 @@ class TestEnergy:
     def test_missing_gap_is_usage(self, capsys):
         code, _, _ = run_cli(capsys, "energy", "--geometry", "arc")
         assert code == EXIT_USAGE
+
+
+class TestOutOfDoubleRange:
+    """Arc geometries whose integrals, bending coefficient or thickness leave
+    the range of a double exit 3 with a message, not 0 with nan or inf cells
+    and not 1 with a traceback."""
+
+    @pytest.mark.parametrize(
+        "geometry,gap",
+        [
+            (("--r", "1um", "--span", "2e-106m"), "5e-107m"),  # 4R/g**3 overflows
+            (("--r", "1um", "--span", "2e-60m"), "1e-110m"),  # g**3 underflows to 0
+            (("--r", "1e200m", "--span", "1m"), "1mm"),  # R**2 and (B + 1)**2 overflow
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("sweep", "--points", "1", "--gap-min", "{gap}", "--gap-max", "{gap}"),
+            ("energy", "--geometry", "arc", "--gap", "{gap}"),
+            ("energy", "--geometry", "arc", "--model", "pfa", "--gap", "{gap}"),
+        ],
+    )
+    def test_physics_error(self, capsys, command, geometry, gap):
+        argv = [arg.format(gap=gap) for arg in command] + list(geometry)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PHYSICS
+        assert out == ""
+        assert err.startswith("error: ") and "double" in err
 
 
 class TestValidate:
@@ -656,6 +706,11 @@ class TestMaterialsFile:
                 '[{"name": "x", "youngs_modulus_pa": 1e9, "poisson_ratio": 0.3,'
                 ' "sigma_nu": -0.1}]',
                 "sigma_nu",
+            ),
+            (
+                '[{"name": "x", "youngs_modulus_pa": 1e9, "poisson_ratio": 0.3,'
+                ' "sigma_e_pa": NaN}]',
+                "sigma_e_pa",
             ),
             ('{"name": "x"}', "array"),
             ("{", "not valid JSON"),

@@ -1,6 +1,7 @@
 """Material table, bending stiffness, strain energy, thin-plate rule."""
 
 import math
+import warnings
 
 import pytest
 
@@ -63,6 +64,15 @@ class TestMaterialTable:
         with pytest.raises(MaterialNotFoundError):
             material_by_name("gold", pool)
 
+    @pytest.mark.parametrize("name", ["gold", " GOLD "])
+    def test_lookup_builds_only_the_match(self, name):
+        # building silver would warn about its thin-film Poisson ratio
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert material_by_name(name) == Material(
+                "gold", youngs_modulus=97e9, poisson_ratio=0.421, sigma_e=10e9, sigma_nu=0.06
+            )
+
     def test_unknown_material(self):
         with pytest.raises(MaterialNotFoundError, match="copper"):
             material_by_name("copper")
@@ -90,6 +100,10 @@ class TestMaterialValidation:
             dict(name="x", youngs_modulus=1e9, poisson_ratio=1.5),
             dict(name="x", youngs_modulus=1e9, poisson_ratio=0.3, sigma_e=-1.0),
             dict(name="x", youngs_modulus=1e9, poisson_ratio=0.3, sigma_nu=-0.1),
+            dict(name="x", youngs_modulus=1e9, poisson_ratio=0.3, sigma_e=math.nan),
+            dict(name="x", youngs_modulus=1e9, poisson_ratio=0.3, sigma_e=math.inf),
+            dict(name="x", youngs_modulus=1e9, poisson_ratio=0.3, sigma_nu=math.nan),
+            dict(name="x", youngs_modulus=1e9, poisson_ratio=0.3, sigma_nu=math.inf),
         ],
     )
     def test_rejected(self, kwargs):
