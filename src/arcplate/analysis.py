@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .casimir import _ARC_COEF, NTLO, PFA, EnergyModel, _arc_integrals
+from .casimir import _ARC_COEF, NTLO, PFA, EnergyModel, _ArcKernel
 from .elasticity import Material
 from .errors import NonFiniteResultError, NonNegativeEnergyError, ZeroReferenceError
 from .geometry import ArcGeometry
@@ -103,6 +103,8 @@ class SweepConfig:
             raise ValueError(
                 f"need 0 < gap_min <= gap_max, got [{self.gap_min}, {self.gap_max}]"
             )
+        if not math.isfinite(self.gap_max):  # run_sweep relies on a finite grid
+            raise ValueError(f"gap_max must be finite, got {self.gap_max}")
         if not (1 <= self.points <= MAX_POINTS):
             raise ValueError(
                 f"points must lie in [1, {MAX_POINTS}], got {self.points}"
@@ -148,8 +150,7 @@ class SweepConfig:
         ]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     gap: float  # m
     energies: dict[str, float]  # model key -> J/m
     thickness: dict[tuple[str, str], float]  # (material name, model key) -> m
@@ -166,35 +167,40 @@ class SweepTable:
 def run_sweep(config: SweepConfig) -> SweepTable:
     """One SweepRow per gap, ascending; deterministic for a fixed config.
 
-    Each gap's geometry is evaluated once: the arc integrals I0 and I1 give
-    every model's energy as -(pi^2 hbar c / 1440)(I0 + kappa*(2/3)*I1), the
-    same floats arc_energy returns, and each material's bending coefficient
-    is computed once per sweep, since the arc length does not depend on the
-    gap. Thicknesses are the same floats critical_thickness returns. Rows
-    are evaluated sequentially; a contact or proximity violation at any gap
-    aborts the run immediately.
+    One _ArcKernel serves the whole sweep, and each gap is evaluated once:
+    the arc integrals I0 and I1 give every model's energy as
+    -(pi^2 hbar c / 1440)(I0 + kappa*(2/3)*I1), the same floats arc_energy
+    returns, and each material's bending coefficient is computed once per
+    sweep, since the arc length does not depend on the gap. Thicknesses are
+    the same floats critical_thickness returns.
+
+    Only the first gap builds an ArcGeometry. The grid ascends from it and
+    the sagitta does not depend on the gap, so contact, a non-positive gap
+    and the radius and span checks can fail only there; the kernel checks
+    gap/radius at every gap. Rows are evaluated sequentially; a violation at
+    any gap aborts the run immediately.
     """
     gaps = config.gaps()
     geom = ArcGeometry(radius=config.radius, half_span=config.half_span, gap=gaps[0])
-    arc_length = geom.arc_length()
+    kernel = _ArcKernel(geom)
     keys = [model.key for model in config.models]
     weights = [model.gradient_weight * (2.0 / 3.0) for model in config.models]
     cells = [(mat.name, key) for mat in config.materials for key in keys]
-    coefs = [_bending_coefficient(mat, arc_length, config.radius) for mat in config.materials]
+    coefs = [
+        _bending_coefficient(mat, kernel.arc_length, config.radius) for mat in config.materials
+    ]
     pair = config.resolved_comparison()
     if pair is not None:
         first_material = config.materials[0].name
         other, reference = (first_material, pair[0].key), (first_material, pair[1].key)
+    integrals = kernel.integrals
     rows: list[SweepRow] = []
     for gap in gaps:
-        geom = ArcGeometry(radius=config.radius, half_span=config.half_span, gap=gap)
-        i0, i1 = _arc_integrals(geom)
+        i0, i1 = integrals(gap)
         us = [-_ARC_COEF * (i0 + weight * i1) for weight in weights]
         thickness = dict(zip(cells, _thicknesses(us, coefs)))
         delta = None
         if pair is not None:
             delta = fractional_deviation(thickness[other], thickness[reference])
-        rows.append(
-            SweepRow(gap=gap, energies=dict(zip(keys, us)), thickness=thickness, delta=delta)
-        )
-    return SweepTable(config=config, rows=tuple(rows), arc_length=arc_length)
+        rows.append(SweepRow(gap, dict(zip(keys, us)), thickness, delta))
+    return SweepTable(config=config, rows=tuple(rows), arc_length=kernel.arc_length)

@@ -92,7 +92,10 @@ def parse_length(text: str) -> float:
             f"unknown length unit {unit!r} in {text!r}; "
             f"use one of {', '.join(sorted(set(_UNITS), key=len))}"
         )
-    return float(f"{mantissa}e{int(exponent or 0) + _UNITS[unit]}")
+    value = float(f"{mantissa}e{int(exponent or 0) + _UNITS[unit]}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"length {text!r} overflows a double")
+    return value
 
 
 def parse_model(token: str) -> EnergyModel:

@@ -30,6 +30,14 @@ PFA_WARN_RATIO = 0.05
 PFA_FAIL_RATIO = 0.5
 
 
+def _check_gap_ratio(gap: float, radius: float) -> None:
+    if gap / radius >= 1.0:
+        raise PfaViolationError(
+            f"gap/radius = {gap / radius:.3g} >= 1; the local "
+            "parallel-plate picture has no meaning here"
+        )
+
+
 @dataclass(frozen=True)
 class PfaReport:
     """Validity report for the proximity approximation on one geometry."""
@@ -59,11 +67,7 @@ class ArcGeometry:
             )
         if not (self.gap > 0.0 and math.isfinite(self.gap)):
             raise NonPositiveGapError(f"gap must be positive, got {self.gap}")
-        if self.gap / self.radius >= 1.0:
-            raise PfaViolationError(
-                f"gap/radius = {self.gap / self.radius:.3g} >= 1; the local "
-                "parallel-plate picture has no meaning here"
-            )
+        _check_gap_ratio(self.gap, self.radius)
         if self.gap <= self.sagitta:
             raise ContactViolationError(
                 f"gap {self.gap:.6g} m does not clear the sagitta "

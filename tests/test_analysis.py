@@ -26,7 +26,7 @@ from arcplate import (
     scaled_ntlo,
 )
 from arcplate.analysis import MAX_POINTS
-from arcplate.casimir import _arc_integrals
+from arcplate.casimir import _ArcKernel
 
 R = 100e-6
 Y_MAX = 3e-6
@@ -173,6 +173,7 @@ class TestSweepConfig:
         [
             dict(gap_min=0.0),
             dict(gap_min=2e-6),  # exceeds gap_max
+            dict(gap_max=math.inf),
             dict(points=0),
             dict(materials=()),
             dict(models=()),
@@ -352,15 +353,62 @@ class TestSweepKernel:
     @pytest.mark.parametrize("models", [(NTLO,), (PFA, NTLO), MANY_MODELS])
     def test_one_arc_integral_per_gap(self, monkeypatch, models):
         calls = []
+        integrals = _ArcKernel.integrals
 
-        def counted(geom):
-            calls.append(geom.gap)
-            return _arc_integrals(geom)
+        def counted(kernel, gap):
+            calls.append(gap)
+            return integrals(kernel, gap)
 
-        monkeypatch.setattr(arcplate.analysis, "_arc_integrals", counted)
+        monkeypatch.setattr(_ArcKernel, "integrals", counted)
         cfg = config(points=17, models=models, materials=(GOLD, SILVER, FOIL))
         run_sweep(cfg)
         assert calls == cfg.gaps()
+
+    @pytest.mark.parametrize("points", [1, 17, 1000])
+    def test_one_geometry_per_sweep(self, monkeypatch, points):
+        built = []
+
+        def counted(**kwargs):
+            built.append(kwargs["gap"])
+            return ArcGeometry(**kwargs)
+
+        monkeypatch.setattr(arcplate.analysis, "ArcGeometry", counted)
+        cfg = config(points=points)
+        run_sweep(cfg)
+        assert built == [cfg.gap_min]
+
+    # Each message as the sweep gave it when every gap built its own
+    # ArcGeometry: the first gap in grid order that fails decides.
+    @pytest.mark.parametrize(
+        "overrides,error,message",
+        [
+            (dict(gap_min=40e-9, points=1000), ContactViolationError,
+             "gap 4e-08 m does not clear the sagitta 4.50101e-08 m; "
+             "the arc would touch the plate"),
+            (dict(gap_min=10e-6, gap_max=60e-6, points=6), PfaViolationError,
+             "gap/radius = 0.5 >= 0.5; the arc energy is not evaluated beyond "
+             "the proximity approximation's hard threshold"),
+            (dict(gap_min=10e-6, gap_max=120e-6, points=2), PfaViolationError,
+             "gap/radius = 1.2 >= 1; the local parallel-plate picture has no "
+             "meaning here"),
+            (dict(radius=1e-6, half_span=1e-106, gap_min=5e-107, gap_max=5e-107, points=1),
+             NonFiniteResultError,
+             "arc integrals at radius 1e-06 m, gap 5e-107 m out of double range"),
+            (dict(radius=1e200, half_span=0.5, gap_min=1e-3, gap_max=1e-3, points=1),
+             NonFiniteResultError,
+             "gold: bending coefficient 0.0 J/m^4 at radius 1e+200 m is not a positive double"),
+            (dict(radius=1e-6, half_span=1e-9, gap_min=1e-12, gap_max=1e-12, points=1,
+                  materials=(Material("x", youngs_modulus=1e-313, poisson_ratio=0.3),)),
+             NonFiniteResultError,
+             "critical thicknesses [inf, inf] m leave the range of a double"),
+        ],
+        ids=["contact", "half-radius", "past-radius", "integrals", "bending", "thickness"],
+    )
+    def test_error_messages(self, overrides, error, message):
+        with pytest.raises(error) as info:
+            run_sweep(config(**overrides))
+        assert type(info.value) is error
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "overrides",

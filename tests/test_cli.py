@@ -86,14 +86,21 @@ class TestParseLength:
         unit=st.sampled_from(sorted(UNIT_EXPONENTS)),
     )
     def test_unit_shifts_the_exponent(self, mantissa, exponent, unit):
+        import argparse
+
         shifted = float(f"{mantissa}e{exponent + UNIT_EXPONENTS[unit]}")
-        assert parse_length(f"{mantissa}e{exponent}{unit}") == shifted
+        if math.isinf(shifted):
+            with pytest.raises(argparse.ArgumentTypeError, match="overflows a double"):
+                parse_length(f"{mantissa}e{exponent}{unit}")
+        else:
+            assert parse_length(f"{mantissa}e{exponent}{unit}") == shifted
         assert parse_length(f"{mantissa}{unit}") == float(
             f"{mantissa}e{UNIT_EXPONENTS[unit]}"
         )
 
     @pytest.mark.parametrize(
-        "text", ["100", "0.1", "nm", "abc", "1.5.2um", "0.1 um", "1km", "1fm", ""]
+        "text",
+        ["100", "0.1", "nm", "abc", "1.5.2um", "0.1 um", "1km", "1fm", "", "1e400m", "-2e308m"],
     )
     def test_rejected(self, text):
         import argparse
@@ -268,6 +275,8 @@ class TestSweep:
             ("sweep", "--points", "1000001"),  # above MAX_POINTS
             ("sweep", "--quad-rtol", "1e-10"),  # quadrature flags no longer exist
             ("energy", "--geometry", "arc", "--gap", "0.1um", "--quad-order", "64"),
+            ("sweep", "--gap-max", "1e400m", "--points", "3"),  # overflows a double
+            ("validate", "--gap", "1e400m"),
         ],
     )
     def test_usage_errors(self, capsys, argv):
@@ -540,8 +549,9 @@ class TestEnergy:
 
 class TestOutOfDoubleRange:
     """Arc geometries whose integrals, bending coefficient or thickness leave
-    the range of a double exit 3 with a message, not 0 with nan or inf cells
-    and not 1 with a traceback."""
+    the range of a double, and plate and sphere separations whose closed
+    forms do, exit 3 with a message, not 0 with nan, inf or -0.0 and not 1
+    with a traceback."""
 
     @pytest.mark.parametrize(
         "geometry,gap",
@@ -562,6 +572,22 @@ class TestOutOfDoubleRange:
     def test_physics_error(self, capsys, command, geometry, gap):
         argv = [arg.format(gap=gap) for arg in command] + list(geometry)
         code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PHYSICS
+        assert out == ""
+        assert err.startswith("error: ") and "double" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--geometry", "parallel", "--gap", "1e-90m"),  # d**4 underflows to 0
+            ("--geometry", "parallel", "--gap", "1e90m"),  # d**4 overflows
+            ("--geometry", "parallel", "--quantity", "energy-density", "--gap", "1e-110m"),
+            ("--geometry", "sphere", "--r", "1e300m", "--gap", "1e200m"),  # d * d overflows
+            ("--geometry", "sphere", "--quantity", "force", "--r", "1e300m", "--gap", "1e200m"),
+        ],
+    )
+    def test_closed_form_physics_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "energy", *argv)
         assert code == EXIT_PHYSICS
         assert out == ""
         assert err.startswith("error: ") and "double" in err
