@@ -49,13 +49,12 @@ from .errors import (
     NonNegativeEnergyError,
     NonPositiveGapError,
     NonPositiveThicknessError,
-    OutOfSpanError,
     PfaViolationError,
     ZeroReferenceError,
 )
 from .geometry import ArcGeometry, PfaReport
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ArcGeometry",
@@ -74,7 +73,6 @@ __all__ = [
     "NonPositiveGapError",
     "NonPositiveThicknessError",
     "NTLO",
-    "OutOfSpanError",
     "PFA",
     "PfaReport",
     "PfaViolationError",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
 from .errors import NonFiniteResultError, NonPositiveGapError, PfaViolationError
 from .geometry import PFA_FAIL_RATIO, ArcGeometry, _check_gap_ratio
@@ -64,56 +64,31 @@ _ARC_COEF = math.pi**2 * _HBAR_C / 1440.0  # J*m^2
 class EnergyModel:
     """Which terms of the profile expansion the arc energy keeps.
 
-    variant "pfa" keeps only the leading 1/psi^3 term; "ntlo" adds the full
-    (2/3) psi'^2 gradient correction; "scaled-ntlo" weights that correction
-    by epsilon in [0, 1]. Weight 0 reproduces "pfa" identically and weight 1
-    reproduces "ntlo" identically.
+    gradient_weight is kappa, the weight of the (2/3) psi'^2 correction:
+    PFA (0) keeps only the leading 1/psi^3 term, NTLO (1) adds the full
+    correction, and scaled_ntlo(epsilon) weights it by epsilon. Models compare
+    by all three fields, so PFA and scaled_ntlo(0) stay distinct models (and
+    CSV columns) with bit-equal energies.
     """
 
-    variant: Literal["pfa", "ntlo", "scaled-ntlo"]
-    epsilon: float | None = None
+    label: str
+    key: str  # identifier safe for CSV column names and dict keys
+    gradient_weight: float  # kappa, in [0, 1]
 
     def __post_init__(self) -> None:
-        if self.variant not in ("pfa", "ntlo", "scaled-ntlo"):
-            raise ValueError(f"unknown energy model variant: {self.variant!r}")
-        if self.variant == "scaled-ntlo":
-            if self.epsilon is None:
-                raise ValueError("scaled-ntlo requires an epsilon")
-            if not (0.0 <= self.epsilon <= 1.0):
-                raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        elif self.epsilon is not None:
-            raise ValueError(f"{self.variant} does not take an epsilon")
-
-    @property
-    def gradient_weight(self) -> float:
-        """kappa: 0 for pfa, 1 for ntlo, epsilon for scaled-ntlo."""
-        if self.variant == "pfa":
-            return 0.0
-        if self.variant == "ntlo":
-            return 1.0
-        return float(self.epsilon)  # type: ignore[arg-type]
-
-    @property
-    def label(self) -> str:
-        if self.variant == "scaled-ntlo":
-            return f"scaled-ntlo({self.epsilon:g})"
-        return self.variant
-
-    @property
-    def key(self) -> str:
-        """Identifier safe for CSV column names and dict keys."""
-        if self.variant == "scaled-ntlo":
-            return f"scaled_ntlo_{self.epsilon:g}"
-        return self.variant
+        if not (0.0 <= self.gradient_weight <= 1.0):
+            raise ValueError(
+                f"gradient weight must lie in [0, 1], got {self.gradient_weight}"
+            )
 
 
-PFA = EnergyModel("pfa")
-NTLO = EnergyModel("ntlo")
+PFA = EnergyModel("pfa", "pfa", 0.0)
+NTLO = EnergyModel("ntlo", "ntlo", 1.0)
 
 
 def scaled_ntlo(epsilon: float) -> EnergyModel:
     """Gradient correction scaled by epsilon in [0, 1]."""
-    return EnergyModel("scaled-ntlo", epsilon)
+    return EnergyModel(f"scaled-ntlo({epsilon:g})", f"scaled_ntlo_{epsilon:g}", float(epsilon))
 
 
 @dataclass(frozen=True)

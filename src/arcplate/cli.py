@@ -95,6 +95,8 @@ def parse_length(text: str) -> float:
     value = float(f"{mantissa}e{int(exponent or 0) + _UNITS[unit]}")
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"length {text!r} overflows a double")
+    if value == 0.0 and float(mantissa) != 0.0:
+        raise argparse.ArgumentTypeError(f"length {text!r} underflows a double")
     return value
 
 

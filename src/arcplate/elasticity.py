@@ -10,6 +10,7 @@ per-unit-depth interaction energies from the casimir module (J/m).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -79,12 +80,16 @@ class Material:
                 raise ValueError(f"{self.name}: {arg} {broken}")
         if self.poisson_ratio > 0.5:
             # Thin-film values above the isotropic bulk bound are accepted
-            # on purpose; flag them so the choice is visible.
+            # on purpose; flag them so the choice is visible, at the first
+            # caller outside this module (the dataclass __init__ is inside).
+            level, frame = 1, sys._getframe()
+            while frame is not None and frame.f_globals.get("__name__") == __name__:
+                level, frame = level + 1, frame.f_back
             warnings.warn(
                 f"{self.name}: poisson ratio {self.poisson_ratio} exceeds the "
                 "isotropic bulk limit 0.5; accepted as a thin-film value",
                 MaterialWarning,
-                stacklevel=3,  # past the generated dataclass __init__
+                stacklevel=level,
             )
 
     @property

@@ -10,10 +10,6 @@ class ArcPlateError(Exception):
     """Base class for all library errors."""
 
 
-class OutOfSpanError(ArcPlateError, ValueError):
-    """Transverse coordinate lies outside the arc's half-span."""
-
-
 class ContactViolationError(ArcPlateError, ValueError):
     """The arc touches or penetrates the plate (separation <= 0 somewhere)."""
 

@@ -1,4 +1,4 @@
-"""Arc-over-plate geometry: separation profile, slope, sagitta, arc length.
+"""Arc-over-plate geometry: sagitta, arc length, proximity-approximation validity.
 
 Convention: the configured gap is the separation at the arc's center (y = 0),
 which is the point farthest from the plate; the edges at |y| = half_span sit
@@ -11,12 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import (
-    ContactViolationError,
-    NonPositiveGapError,
-    OutOfSpanError,
-    PfaViolationError,
-)
+from .errors import ContactViolationError, NonPositiveGapError, PfaViolationError
 
 __all__ = [
     "ArcGeometry",
@@ -79,29 +74,6 @@ class ArcGeometry:
         # y_max^2 / (R + sqrt(R^2 - y_max^2)): no cancellation for R >> y_max
         y = self.half_span
         return y * y / (self.radius + math.sqrt(self.radius * self.radius - y * y))
-
-    def _check_span(self, y: float) -> None:
-        if abs(y) > self.half_span:
-            raise OutOfSpanError(
-                f"|y| = {abs(y):.6g} m exceeds half_span {self.half_span:.6g} m"
-            )
-
-    def separation(self, y: float) -> float:
-        """Local gap psi(y) = g - R + sqrt(R^2 - y^2); psi(0) = g."""
-        self._check_span(y)
-        # written as g minus the local sagitta to stay cancellation-safe
-        local_sag = y * y / (self.radius + math.sqrt(self.radius * self.radius - y * y))
-        psi = self.gap - local_sag
-        if psi <= 0.0:
-            raise ContactViolationError(
-                f"separation {psi:.6g} m at y = {y:.6g} m; arc touches the plate"
-            )
-        return psi
-
-    def slope(self, y: float) -> float:
-        """Profile derivative d(psi)/dy = -y / sqrt(R^2 - y^2); odd in y."""
-        self._check_span(y)
-        return -y / math.sqrt(self.radius * self.radius - y * y)
 
     def arc_length(self) -> float:
         """Arc length 2 R arcsin(y_max / R), m; independent of the gap."""

@@ -24,6 +24,7 @@ from arcplate import (
     sphere_plate_force,
 )
 
+from arc_profile import separation, slope
 from oracles import (
     ARC_COEF,
     midpoint_arc_energy,
@@ -49,7 +50,7 @@ def quadrature_arc_energy(geom: ArcGeometry, kappa: float, spec: QuadratureSpec)
     weight = kappa * (2.0 / 3.0)
 
     def integrand(y: float) -> float:
-        psi, s = geom.separation(y), geom.slope(y)
+        psi, s = separation(geom, y), slope(geom, y)
         return (1.0 + weight * s * s) / psi**3
 
     return -ARC_COEF * integrate(integrand, -geom.half_span, geom.half_span, spec).value
@@ -167,21 +168,17 @@ class TestSpherePlate:
 
 class TestEnergyModel:
     def test_pfa(self):
-        assert PFA.variant == "pfa"
-        assert PFA.epsilon is None
         assert PFA.gradient_weight == 0.0
         assert PFA.label == "pfa"
         assert PFA.key == "pfa"
 
     def test_ntlo(self):
-        assert NTLO.variant == "ntlo"
         assert NTLO.gradient_weight == 1.0
         assert NTLO.label == "ntlo"
         assert NTLO.key == "ntlo"
 
     def test_scaled(self):
         m = scaled_ntlo(0.1)
-        assert m.variant == "scaled-ntlo"
         assert m.gradient_weight == 0.1
         assert m.label == "scaled-ntlo(0.1)"
         assert m.key == "scaled_ntlo_0.1"
@@ -192,18 +189,21 @@ class TestEnergyModel:
         assert scaled_ntlo(1.0).gradient_weight == 1.0
 
     def test_equality_and_hashing(self):
-        assert scaled_ntlo(0.1) == EnergyModel("scaled-ntlo", 0.1)
+        assert scaled_ntlo(0.1) == EnergyModel("scaled-ntlo(0.1)", "scaled_ntlo_0.1", 0.1)
         assert len({PFA, NTLO, scaled_ntlo(0.1), scaled_ntlo(0.1)}) == 3
+        # same weight, different model: each keeps its own CSV column
+        assert PFA != scaled_ntlo(0.0)
+        assert NTLO != scaled_ntlo(1.0)
 
     @pytest.mark.parametrize(
         "ctor",
         [
-            lambda: EnergyModel("scaled-ntlo"),  # epsilon is required
             lambda: scaled_ntlo(-0.1),
             lambda: scaled_ntlo(1.5),
-            lambda: EnergyModel("pfa", 0.5),  # plain variants take none
-            lambda: EnergyModel("ntlo", epsilon=1.0),
-            lambda: EnergyModel("nlo"),
+            lambda: scaled_ntlo(math.nan),
+            lambda: scaled_ntlo(math.inf),
+            lambda: EnergyModel("k", "k", 1.5),
+            lambda: EnergyModel("k", "k", -0.5),
         ],
     )
     def test_invalid_models(self, ctor):

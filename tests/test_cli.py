@@ -92,6 +92,9 @@ class TestParseLength:
         if math.isinf(shifted):
             with pytest.raises(argparse.ArgumentTypeError, match="overflows a double"):
                 parse_length(f"{mantissa}e{exponent}{unit}")
+        elif shifted == 0.0 and float(mantissa) != 0.0:
+            with pytest.raises(argparse.ArgumentTypeError, match="underflows a double"):
+                parse_length(f"{mantissa}e{exponent}{unit}")
         else:
             assert parse_length(f"{mantissa}e{exponent}{unit}") == shifted
         assert parse_length(f"{mantissa}{unit}") == float(
@@ -256,6 +259,21 @@ class TestSweep:
         assert code == EXIT_OK
         assert "u_scaled_ntlo_0.1_J_per_m" in out.splitlines()[0]
 
+    def test_pfa_and_scaled_zero_are_two_columns(self, capsys):
+        # equal weights, equal energies, but two distinct models
+        code, out, _ = run_cli(
+            capsys, "sweep", "--points", "3", "--models", "pfa,scaled-ntlo:0"
+        )
+        assert code == EXIT_OK
+        header, *rows = out.splitlines()
+        columns = header.split(",")
+        pfa = columns.index("u_pfa_J_per_m")
+        scaled = columns.index("u_scaled_ntlo_0_J_per_m")
+        assert len(rows) == 3
+        for row in rows:
+            values = row.split(",")
+            assert values[pfa] == values[scaled]
+
     def test_gap_order_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "sweep", "--gap-min", "1um", "--gap-max", "0.1um"
@@ -277,6 +295,8 @@ class TestSweep:
             ("energy", "--geometry", "arc", "--gap", "0.1um", "--quad-order", "64"),
             ("sweep", "--gap-max", "1e400m", "--points", "3"),  # overflows a double
             ("validate", "--gap", "1e400m"),
+            ("energy", "--geometry", "parallel", "--gap", "1e-400m"),  # underflows to 0
+            ("sweep", "--gap-min", "1e-400m", "--points", "2"),
         ],
     )
     def test_usage_errors(self, capsys, argv):
@@ -794,6 +814,15 @@ def subprocess_env(bin_dir=None):
     if bin_dir is not None:
         env["PATH"] = os.pathsep.join(filter(None, [str(bin_dir), env.get("PATH")]))
     return env
+
+
+class TestPackaging:
+    def test_public_names_resolve(self):
+        for name in arcplate.__all__:
+            assert hasattr(arcplate, name), name
+
+    def test_version_matches_pyproject(self):
+        assert arcplate.__version__ == load_pyproject()["project"]["version"]
 
 
 class TestConsoleScript:

@@ -119,6 +119,19 @@ class TestMaterialValidation:
         with pytest.warns(MaterialWarning, match="silver"):
             builtin_materials()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: material_by_name("silver"),
+            builtin_materials,
+            lambda: Material("x", youngs_modulus=1e9, poisson_ratio=0.6),
+        ],
+    )
+    def test_warning_names_the_caller(self, build):
+        with pytest.warns(MaterialWarning) as record:
+            build()
+        assert [w.filename for w in record] == [__file__]
+
 
 class TestBendingStiffness:
     def test_frozen_values_at_10nm(self):
