@@ -15,12 +15,9 @@ from .analysis import (
     run_sweep,
 )
 from .casimir import (
-    CODATA,
     NTLO,
     PFA,
     EnergyModel,
-    LineEnergy,
-    PhysicalConstants,
     arc_energy,
     parallel_plate_energy_density,
     parallel_plate_pressure,
@@ -54,7 +51,16 @@ from .errors import (
 )
 from .geometry import ArcGeometry, PfaReport
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
+
+
+def __getattr__(name: str) -> object:
+    """PhysicalConstants, CODATA and LineEnergy, imported on first use."""
+    if name in ("PhysicalConstants", "CODATA", "LineEnergy"):
+        from . import _records
+        return getattr(_records, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ArcGeometry",

@@ -10,13 +10,17 @@ this across a uniform grid of gaps for every requested material and model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .casimir import _ARC_COEF, NTLO, PFA, EnergyModel, _ArcKernel
 from .elasticity import Material
-from .errors import NonFiniteResultError, NonNegativeEnergyError, ZeroReferenceError
-from .geometry import ArcGeometry
+from .errors import (
+    NonFiniteResultError,
+    NonNegativeEnergyError,
+    NonPositiveGapError,
+    ZeroReferenceError,
+)
+from .geometry import ArcGeometry, Frozen
 
 __all__ = [
     "MAX_POINTS",
@@ -78,31 +82,27 @@ def fractional_deviation(t_a: float, t_b: float) -> float:
     return abs(t_a - t_b) / t_b
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Inputs of one sweep: gap grid, geometry template, materials, models.
+class SweepConfig(Frozen):
+    """Inputs of one sweep: gap grid and geometry template (m), materials, models.
 
     comparison names the (other, reference) model pair feeding the per-row
     deviation delta; None picks (pfa, ntlo) when both are requested and
     disables delta otherwise.
     """
 
-    gap_min: float  # m
-    gap_max: float  # m
-    points: int
-    radius: float  # m
-    half_span: float  # m
-    materials: tuple[Material, ...]
-    models: tuple[EnergyModel, ...]
-    comparison: tuple[EnergyModel, EnergyModel] | None = None
+    __slots__ = __match_args__ = ("gap_min", "gap_max", "points", "radius", "half_span",
+                                  "materials", "models", "comparison")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "materials", tuple(self.materials))
-        object.__setattr__(self, "models", tuple(self.models))
-        if not (0.0 < self.gap_min <= self.gap_max):
-            raise ValueError(
-                f"need 0 < gap_min <= gap_max, got [{self.gap_min}, {self.gap_max}]"
-            )
+    def __init__(self, gap_min: float, gap_max: float, points: int, radius: float,
+                 half_span: float, materials: Sequence[Material],
+                 models: Sequence[EnergyModel],
+                 comparison: tuple[EnergyModel, EnergyModel] | None = None) -> None:
+        self._set((gap_min, gap_max, points, radius, half_span, tuple(materials),
+                   tuple(models), comparison))
+        if not self.gap_min > 0.0:
+            raise NonPositiveGapError(f"gap must be positive, got {self.gap_min}")
+        if not self.gap_min <= self.gap_max:
+            raise ValueError(f"need 0 < gap_min <= gap_max, got [{self.gap_min}, {self.gap_max}]")
         if not math.isfinite(self.gap_max):  # run_sweep relies on a finite grid
             raise ValueError(f"gap_max must be finite, got {self.gap_max}")
         if not (1 <= self.points <= MAX_POINTS):
@@ -157,11 +157,12 @@ class SweepRow(NamedTuple):
     delta: float | None  # fractional deviation of the comparison pair
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    config: SweepConfig
-    rows: tuple[SweepRow, ...] = field(repr=False)
-    arc_length: float  # m, gap-independent
+class SweepTable(Frozen):
+    __slots__ = __match_args__ = ("config", "rows", "arc_length")  # arc_length in m
+    _hidden = ("rows",)  # left out of the repr
+
+    def __init__(self, config: SweepConfig, rows: tuple[SweepRow, ...], arc_length: float) -> None:
+        self._set((config, rows, arc_length))
 
 
 def run_sweep(config: SweepConfig) -> SweepTable:

@@ -16,11 +16,10 @@ it exactly. All functions are pure and thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import NonFiniteResultError, NonPositiveGapError, PfaViolationError
-from .geometry import PFA_FAIL_RATIO, ArcGeometry, _check_gap_ratio
+from .geometry import PFA_FAIL_RATIO, ArcGeometry, Frozen, _check_gap_ratio
 
 __all__ = [
     "PhysicalConstants",
@@ -38,21 +37,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants; fixed, not configurable."""
-
-    hbar: float = 1.054571817e-34  # J*s, CODATA 2018
-    c: float = 299792458.0  # m/s, exact
+_HBAR = 1.054571817e-34  # J*s, CODATA 2018
+_C = 299792458.0  # m/s, exact
 
 
-CODATA = PhysicalConstants()
+def __getattr__(name: str) -> object:
+    """PhysicalConstants, CODATA and LineEnergy, imported on first use."""
+    if name in ("PhysicalConstants", "CODATA", "LineEnergy"):
+        from . import _records
+        return getattr(_records, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Coefficients evaluated once; every formula below is coefficient / power of
 # separation. The plate energy-per-area coefficient (pi/720) is deliberately
 # independent of the arc prefactor (pi^2/1440); no derivative relation between
 # pressure and that density is asserted anywhere in this package.
-_HBAR_C = CODATA.hbar * CODATA.c
+_HBAR_C = _HBAR * _C
 _PLATE_PRESSURE_COEF = math.pi**2 * _HBAR_C / 240.0  # J*m
 _PLATE_DENSITY_COEF = math.pi * _HBAR_C / 720.0  # J*m^2
 _SPHERE_FORCE_COEF = math.pi**3 * _HBAR_C / 360.0  # J*m
@@ -60,22 +61,20 @@ _SPHERE_ENERGY_COEF = math.pi**3 * _HBAR_C / 720.0  # J*m
 _ARC_COEF = math.pi**2 * _HBAR_C / 1440.0  # J*m^2
 
 
-@dataclass(frozen=True)
-class EnergyModel:
+class EnergyModel(Frozen):
     """Which terms of the profile expansion the arc energy keeps.
 
     gradient_weight is kappa, the weight of the (2/3) psi'^2 correction:
     PFA (0) keeps only the leading 1/psi^3 term, NTLO (1) adds the full
     correction, and scaled_ntlo(epsilon) weights it by epsilon. Models compare
     by all three fields, so PFA and scaled_ntlo(0) stay distinct models (and
-    CSV columns) with bit-equal energies.
+    CSV columns) with bit-equal energies; key names the CSV columns.
     """
 
-    label: str
-    key: str  # identifier safe for CSV column names and dict keys
-    gradient_weight: float  # kappa, in [0, 1]
+    __slots__ = __match_args__ = ("label", "key", "gradient_weight")
 
-    def __post_init__(self) -> None:
+    def __init__(self, label: str, key: str, gradient_weight: float) -> None:
+        self._set((label, key, gradient_weight))
         if not (0.0 <= self.gradient_weight <= 1.0):
             raise ValueError(
                 f"gradient weight must lie in [0, 1], got {self.gradient_weight}"
@@ -89,17 +88,6 @@ NTLO = EnergyModel("ntlo", "ntlo", 1.0)
 def scaled_ntlo(epsilon: float) -> EnergyModel:
     """Gradient correction scaled by epsilon in [0, 1]."""
     return EnergyModel(f"scaled-ntlo({epsilon:g})", f"scaled_ntlo_{epsilon:g}", float(epsilon))
-
-
-@dataclass(frozen=True)
-class LineEnergy:
-    """Arc-plate interaction energy per unit depth.
-
-    value is negative for every valid geometry (attraction).
-    """
-
-    value: float  # J/m
-    model: EnergyModel
 
 
 def _closed_form(formula: Callable[[], float], where: str) -> float:
@@ -179,6 +167,7 @@ def arc_energy(geom: ArcGeometry, model: EnergyModel) -> LineEnergy:
     Raises PfaViolationError when gap/radius reaches the 0.5 hard threshold
     of validate_pfa(); contact is already excluded by the geometry.
     """
+    from ._records import LineEnergy
     i0, i1 = _ArcKernel(geom).integrals(geom.gap)
     weight = model.gradient_weight * (2.0 / 3.0)
     return LineEnergy(value=-_ARC_COEF * (i0 + weight * i1), model=model)

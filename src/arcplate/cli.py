@@ -13,19 +13,20 @@ timestamps only ever appear in JSON metadata.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import re
 import shlex
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .analysis import MAX_POINTS, SweepConfig, SweepRow, SweepTable, run_sweep
 from .casimir import (
-    CODATA,
+    _C,
+    _HBAR,
     NTLO,
     PFA,
     EnergyModel,
@@ -127,8 +128,8 @@ def parse_models(text: str) -> tuple[EnergyModel, ...]:
     return tuple(parse_model(tok) for tok in text.split(","))
 
 
-# Materials-file field -> Material argument; a field is required when its
-# argument has no default.
+# Materials-file field -> Material argument, and the fields an entry must give:
+# those of the arguments without a default.
 _FIELDS = {
     "name": "name",
     "youngs_modulus_pa": "youngs_modulus",
@@ -136,7 +137,7 @@ _FIELDS = {
     "sigma_e_pa": "sigma_e",
     "sigma_nu": "sigma_nu",
 }
-_REQUIRED = {f.name for f in dataclasses.fields(Material) if f.default is dataclasses.MISSING}
+_REQUIRED = {"name", "youngs_modulus_pa", "poisson_ratio"}
 
 
 def material_table(path: str | None) -> dict[str, dict]:
@@ -170,7 +171,7 @@ def _material_args(entry: object, where: str) -> dict:
         raise MaterialConfigError(f"{where}: expected an object")
     for label, fields in (
         ("unknown", entry.keys() - _FIELDS.keys()),
-        ("missing", {f for f, arg in _FIELDS.items() if arg in _REQUIRED} - entry.keys()),
+        ("missing", _REQUIRED - entry.keys()),
     ):
         if fields:
             raise MaterialConfigError(f"{where}: {label} field(s) {sorted(fields)}")
@@ -266,7 +267,7 @@ def make_record(
     extra_metadata: dict | None = None,
 ) -> dict:
     metadata: dict = {
-        "constants": {"hbar_J_s": CODATA.hbar, "c_m_per_s": CODATA.c},
+        "constants": {"hbar_J_s": _HBAR, "c_m_per_s": _C},
     }
     if geometry is not None:
         metadata["geometry"] = geometry
@@ -557,16 +558,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+
+    def showwarning(message, category, *_) -> None:  # no package path, no source line
+        print(f"{category.__name__}: {message}", file=sys.stderr)
+
     try:
-        if args.command == "sweep":
-            return cmd_sweep(args, argv)
-        if args.command == "energy":
-            return cmd_energy(args, argv)
-        if args.command == "validate":
-            return cmd_validate(args)
-        if args.command == "materials":
-            return cmd_materials(args, argv)
-        raise AssertionError(f"unhandled command {args.command}")
+        with warnings.catch_warnings():  # the caller's filters still apply
+            warnings.showwarning = showwarning
+            if args.command == "sweep":
+                return cmd_sweep(args, argv)
+            if args.command == "energy":
+                return cmd_energy(args, argv)
+            if args.command == "validate":
+                return cmd_validate(args)
+            if args.command == "materials":
+                return cmd_materials(args, argv)
+            raise AssertionError(f"unhandled command {args.command}")
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import MaterialNotFoundError, NonPositiveThicknessError
-from .geometry import ArcGeometry
+from .geometry import ArcGeometry, Frozen
 
 __all__ = [
     "Material",
@@ -57,21 +56,17 @@ def _range_error(arg: str, value: float | None) -> str | None:
     return None if keeps(value) else f"{rule}, got {value}"
 
 
-@dataclass(frozen=True)
-class Material:
-    """Isotropic elastic constants of one membrane material.
-
-    Uncertainties are stored for reporting only; no computation here
-    propagates them.
+class Material(Frozen):
+    """Isotropic elastic constants of one membrane material: Young's modulus
+    E (Pa), Poisson ratio nu, and optional one-sigma uncertainties of each,
+    stored for reporting only; no computation here propagates them.
     """
 
-    name: str
-    youngs_modulus: float  # E, Pa
-    poisson_ratio: float  # nu, dimensionless
-    sigma_e: float | None = None  # one-sigma uncertainty of E, Pa
-    sigma_nu: float | None = None  # one-sigma uncertainty of nu
+    __slots__ = __match_args__ = ("name", "youngs_modulus", "poisson_ratio", "sigma_e", "sigma_nu")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, youngs_modulus: float, poisson_ratio: float,
+                 sigma_e: float | None = None, sigma_nu: float | None = None) -> None:
+        self._set((name, youngs_modulus, poisson_ratio, sigma_e, sigma_nu))
         if not self.name:
             raise ValueError("material name must be non-empty")
         for arg in _RULES:
@@ -81,7 +76,7 @@ class Material:
         if self.poisson_ratio > 0.5:
             # Thin-film values above the isotropic bulk bound are accepted
             # on purpose; flag them so the choice is visible, at the first
-            # caller outside this module (the dataclass __init__ is inside).
+            # caller outside this module (builtin_materials and _build_material are inside).
             level, frame = 1, sys._getframe()
             while frame is not None and frame.f_globals.get("__name__") == __name__:
                 level, frame = level + 1, frame.f_back
@@ -130,15 +125,13 @@ def material_by_name(name: str, materials: Sequence[Material] | None = None) -> 
     return _build_material({mat.name.lower(): mat for mat in materials}, name)
 
 
-@dataclass(frozen=True)
-class CurvatureTensor:
+class CurvatureTensor(Frozen):
     """Symmetric 2x2 curvature tensor, entries in 1/m (k21 == k12)."""
 
-    k11: float
-    k12: float
-    k22: float
+    __slots__ = __match_args__ = ("k11", "k12", "k22")
 
-    def __post_init__(self) -> None:
+    def __init__(self, k11: float, k12: float, k22: float) -> None:
+        self._set((k11, k12, k22))
         for label, k in (("k11", self.k11), ("k12", self.k12), ("k22", self.k22)):
             if not math.isfinite(k):
                 raise ValueError(f"curvature {label} must be finite, got {k}")
@@ -185,14 +178,13 @@ def bending_energy(mat: Material, t: float, geom: ArcGeometry) -> float:
     return u * geom.arc_length()
 
 
-@dataclass(frozen=True)
-class ThinPlateReport:
-    """Tenth-rule check of the thin-plate assumptions for spans a and b."""
+class ThinPlateReport(Frozen):
+    """Tenth-rule check of the thin-plate assumptions for spans a and b (ok_a: t < a / 10)."""
 
-    ratio_a: float  # t / a
-    ratio_b: float  # t / b
-    ok_a: bool  # t < a / 10, strict
-    ok_b: bool  # t < b / 10, strict
+    __slots__ = __match_args__ = ("ratio_a", "ratio_b", "ok_a", "ok_b")
+
+    def __init__(self, ratio_a: float, ratio_b: float, ok_a: bool, ok_b: bool) -> None:
+        self._set((ratio_a, ratio_b, ok_a, ok_b))
 
     @property
     def passed(self) -> bool:

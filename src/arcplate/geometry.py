@@ -2,13 +2,13 @@
 
 Convention: the configured gap is the separation at the arc's center (y = 0),
 which is the point farthest from the plate; the edges at |y| = half_span sit
-closer by the sagitta. All lengths are SI meters.
+closer by the sagitta. All lengths are SI meters. Frozen, the base of the
+package's value types, lives here: every module that defines one imports this.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal
 
 from .errors import ContactViolationError, NonPositiveGapError, PfaViolationError
@@ -25,6 +25,46 @@ PFA_WARN_RATIO = 0.05
 PFA_FAIL_RATIO = 0.5
 
 
+class Frozen:
+    """Base of the package's value types. A subclass lists its fields in
+    __slots__ and, for pattern matching and slotted subclasses, in
+    __match_args__, and sets them through _set. Equality and hashing go over
+    the fields in order, the repr is a dataclass's less the fields in _hidden,
+    and assignment or deletion raises AttributeError. (A frozen dataclass
+    takes about a millisecond to create and imports inspect and ast.)"""
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()
+
+    def _set(self, values: tuple) -> None:
+        for name, value in zip(self.__match_args__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    # copy and pickle restore the fields without running __init__'s checks again
+    __getstate__, __setstate__ = _values, _set
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = [f"{name}={getattr(self, name)!r}" for name in self.__match_args__
+                 if name not in self._hidden]
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__qualname__}.{name} is frozen")
+
+    __delattr__ = __setattr__
+
+
 def _check_gap_ratio(gap: float, radius: float) -> None:
     if gap / radius >= 1.0:
         raise PfaViolationError(
@@ -33,26 +73,25 @@ def _check_gap_ratio(gap: float, radius: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class PfaReport:
-    """Validity report for the proximity approximation on one geometry."""
+class PfaReport(Frozen):
+    """Proximity-approximation validity of one geometry; contact_margin = gap - sagitta, m."""
 
-    ratio: float  # gap / radius
-    status: Literal["pass", "warn", "fail"]
-    contact_margin: float  # gap - sagitta, m; > 0 means no touch
+    __slots__ = __match_args__ = ("ratio", "status", "contact_margin")
+
+    def __init__(self, ratio: float, status: Literal["pass", "warn", "fail"],
+                 contact_margin: float) -> None:
+        self._set((ratio, status, contact_margin))
 
     @property
     def hard_failure(self) -> bool:
         return self.status == "fail"
 
 
-@dataclass(frozen=True)
-class ArcGeometry:
-    radius: float  # R, m
-    half_span: float  # y_max, m; profile defined on [-y_max, +y_max]
-    gap: float  # g, m; separation at the arc center, its farthest point
+class ArcGeometry(Frozen):
+    __slots__ = __match_args__ = ("radius", "half_span", "gap")  # R, y_max, g (see above), m
 
-    def __post_init__(self) -> None:
+    def __init__(self, radius: float, half_span: float, gap: float) -> None:
+        self._set((radius, half_span, gap))
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if not (0.0 < self.half_span < self.radius):

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from datetime import datetime
 from pathlib import Path
 
@@ -318,6 +319,23 @@ class TestSweep:
         assert "gap/radius" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("sweep", "--gap-min", "0um", "--points", "2"), "gap must be positive, got 0.0"),
+            # with "=", argparse takes -1um as the value and not as an option
+            (("sweep", "--gap-min=-1um", "--points", "2"), "gap must be positive, got -1e-06"),
+            (("energy", "--geometry", "parallel", "--gap", "0um"),
+             "plate separation must be positive, got 0.0"),
+            (("validate", "--gap", "0um"), "gap must be positive, got 0.0"),
+        ],
+    )
+    def test_non_positive_gap_is_a_physics_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PHYSICS
+        assert err == f"error: {message}\n"
+        assert out == ""
+
     def test_unwritable_out_path(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -446,6 +464,30 @@ class TestMaterialWarnings:
         assert result.returncode == EXIT_OK
         assert result.stderr.count("MaterialWarning") == 1
         assert "silver: poisson ratio 0.517" in result.stderr
+
+    def test_warning_is_one_line(self, tmp_path):
+        """The CLI shows a warning without the package's path or source line."""
+        result = self.run(tmp_path, "sweep", "--points", "2", "--out", "d.csv")
+        assert result.returncode == EXIT_OK
+        assert result.stderr == (
+            "MaterialWarning: silver: poisson ratio 0.517 exceeds the isotropic bulk "
+            "limit 0.5; accepted as a thin-film value\n"
+        )
+
+    def test_warning_filters_apply(self, tmp_path):
+        env = subprocess_env()
+        env["PYTHONWARNINGS"] = "ignore"
+        result = subprocess.run(
+            [sys.executable, "-m", "arcplate", "sweep", "--points", "2", "--out", "d.csv"],
+            capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path,
+        )
+        assert result.returncode == EXIT_OK
+        assert result.stderr == ""
+
+    def test_main_restores_the_warning_display(self, tmp_path):
+        shown = warnings.showwarning
+        assert main(["sweep", "--points", "2", "--out", str(tmp_path / "d.csv")]) == EXIT_OK
+        assert warnings.showwarning is shown
 
 
 class TestEnergy:
@@ -866,3 +908,22 @@ class TestConsoleScript:
             env=subprocess_env(),
         )
         assert result.returncode == 0, result.stderr
+
+    def test_import_adds_no_dataclasses_inspect_or_numpy(self):
+        """Checks the modules that importing arcplate.cli adds, so that a
+        module the site preloads does not count against it."""
+        script = (
+            "import sys; before = set(sys.modules); import arcplate.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=subprocess_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        added = set(result.stdout.split())
+        assert "arcplate.cli" in added
+        assert not added & {"dataclasses", "inspect", "ast", "dis", "numpy"}
