@@ -10,11 +10,13 @@ this across a uniform grid of gaps for every requested material and model.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .casimir import _ARC_COEF, NTLO, PFA, EnergyModel, _ArcKernel
 from .elasticity import Material
 from .errors import (
+    ArcPlateError,
     NonFiniteResultError,
     NonNegativeEnergyError,
     NonPositiveGapError,
@@ -168,40 +170,74 @@ class SweepTable(Frozen):
 def run_sweep(config: SweepConfig) -> SweepTable:
     """One SweepRow per gap, ascending; deterministic for a fixed config.
 
-    One _ArcKernel serves the whole sweep, and each gap is evaluated once:
-    the arc integrals I0 and I1 give every model's energy as
-    -(pi^2 hbar c / 1440)(I0 + kappa*(2/3)*I1), the same floats arc_energy
-    returns, and each material's bending coefficient is computed once per
-    sweep, since the arc length does not depend on the gap. Thicknesses are
-    the same floats critical_thickness returns.
+    The rows are built from _sweep_columns: each gap is evaluated once and
+    every model's energy is -(pi^2 hbar c / 1440)(I0 + kappa*(2/3)*I1), the
+    same floats arc_energy returns; thicknesses are the same floats
+    critical_thickness returns. A violation at any gap aborts the run, and
+    the first failing gap in grid order decides the error.
+    """
+    gaps, energies, thickness, delta, arc_length = _sweep_columns(config)
+    keys = [model.key for model in config.models]
+    cells = [(mat.name, key) for mat in config.materials for key in keys]
+    rows = map(
+        SweepRow,
+        gaps,
+        [dict(zip(keys, us)) for us in zip(*energies)],
+        [dict(zip(cells, ts)) for ts in zip(*thickness)],
+        repeat(None) if delta is None else delta,
+    )
+    return SweepTable(config=config, rows=tuple(rows), arc_length=arc_length)
 
-    Only the first gap builds an ArcGeometry. The grid ascends from it and
-    the sagitta does not depend on the gap, so contact, a non-positive gap
-    and the radius and span checks can fail only there; the kernel checks
-    gap/radius at every gap. Rows are evaluated sequentially; a violation at
-    any gap aborts the run immediately.
+
+def _sweep_columns(
+    config: SweepConfig,
+) -> tuple[list[float], list[list[float]], list[list[float]], list[float] | None, float]:
+    """The sweep as columns: (gaps, energies, thickness, delta, arc length).
+
+    energies holds one column per model, J/m; thickness one per (material,
+    model) cell, materials outermost, m; delta is the comparison pair's
+    deviation at the first material, or None without a comparison.
+
+    One _ArcKernel serves the whole sweep; its integrals run once per gap, in
+    grid order, and each material's bending coefficient once per sweep, since
+    the arc length does not depend on the gap. Only the first gap builds an
+    ArcGeometry. The grid ascends from it and the sagitta does not depend on
+    the gap, so contact, a non-positive gap and the radius and span checks can
+    fail only there; the kernel checks gap/radius at every gap.
+
+    Each column is checked whole, by min and max. Only when a check fails
+    are the gaps evaluated one by one, so that the error raised is the one a
+    row-by-row sweep meets first.
     """
     gaps = config.gaps()
     geom = ArcGeometry(radius=config.radius, half_span=config.half_span, gap=gaps[0])
     kernel = _ArcKernel(geom)
-    keys = [model.key for model in config.models]
     weights = [model.gradient_weight * (2.0 / 3.0) for model in config.models]
-    cells = [(mat.name, key) for mat in config.materials for key in keys]
     coefs = [
         _bending_coefficient(mat, kernel.arc_length, config.radius) for mat in config.materials
     ]
-    pair = config.resolved_comparison()
-    if pair is not None:
-        first_material = config.materials[0].name
-        other, reference = (first_material, pair[0].key), (first_material, pair[1].key)
-    integrals = kernel.integrals
-    rows: list[SweepRow] = []
+    try:
+        integrals = list(map(kernel.integrals, gaps))
+    except ArcPlateError:
+        integrals = None
+    if integrals is not None:
+        energies = [[-_ARC_COEF * (i0 + w * i1) for i0, i1 in integrals] for w in weights]
+        # integrals() leaves I0 and I1 finite, so no energy is nan, and a
+        # negative finite energy gives a thickness in [0, inf], never nan
+        if max(map(max, energies)) < 0.0:
+            thickness = [[(-u / coef) ** (1.0 / 3.0) for u in us]
+                         for coef in coefs for us in energies]
+            if 0.0 < min(map(min, thickness)) and max(map(max, thickness)) < math.inf:
+                delta = None
+                pair = config.resolved_comparison()
+                if pair is not None:  # first material: its cells lead
+                    a, b = (thickness[config.models.index(model)] for model in pair)
+                    delta = [abs(t_a - t_b) / t_b for t_a, t_b in zip(a, b)]
+                return gaps, energies, thickness, delta, kernel.arc_length
+    # A check failed. Evaluate gap by gap, in grid order and with one gap's
+    # checks in order (integrals, energies, thicknesses): the first failing
+    # gap raises its error.
     for gap in gaps:
-        i0, i1 = integrals(gap)
-        us = [-_ARC_COEF * (i0 + weight * i1) for weight in weights]
-        thickness = dict(zip(cells, _thicknesses(us, coefs)))
-        delta = None
-        if pair is not None:
-            delta = fractional_deviation(thickness[other], thickness[reference])
-        rows.append(SweepRow(gap, dict(zip(keys, us)), thickness, delta))
-    return SweepTable(config=config, rows=tuple(rows), arc_length=kernel.arc_length)
+        i0, i1 = kernel.integrals(gap)
+        _thicknesses([-_ARC_COEF * (i0 + w * i1) for w in weights], coefs)
+    raise AssertionError("a sweep column failed its check but no gap does")

@@ -21,9 +21,9 @@ import sys
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .analysis import MAX_POINTS, SweepConfig, SweepRow, SweepTable, run_sweep
+from .analysis import MAX_POINTS, SweepConfig, _sweep_columns
 from .casimir import (
     _C,
     _HBAR,
@@ -38,7 +38,7 @@ from .casimir import (
     sphere_plate_force,
 )
 from .elasticity import _BUILTINS, Material, _build_material, _range_error, thin_plate_check
-from .errors import ArcPlateError, MaterialConfigError, MaterialNotFoundError
+from .errors import ArcPlateError, MaterialConfigError, MaterialNotFoundError, NonPositiveGapError
 from .geometry import ArcGeometry
 
 SCHEMA_VERSION = "2"
@@ -195,68 +195,51 @@ def material_key(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_") or "material"
 
 
-def _sweep_columns(
-    config: SweepConfig,
-) -> tuple[list[tuple[str, str | None]], Callable[[SweepRow], list[float]]]:
-    """The one column spec of a sweep's outputs.
-
-    Returns (columns, values): columns holds (sidecar key, CSV header) for
-    every value a row reports, in sidecar order, with None as the header of
-    a value the CSV leaves out; values(row) returns the row's values in that
-    order. The CSV keeps the gap, every energy, the reference model's
-    thickness per material and the deviation, a subsequence of the sidecar's
-    columns.
+def _column_names(config: SweepConfig) -> list[tuple[str, str | None]]:
+    """(sidecar key, CSV header) of every column of a sweep: the gap, each
+    model's energy, each (material, model) thickness, materials outermost,
+    and the deviation, with None as the header of a column the CSV leaves
+    out. The CSV keeps the gap, every energy, the reference model's thickness
+    per material and the deviation, a subsequence of the sidecar's columns.
     """
     ref = config.reference_model()
     keys = [model.key for model in config.models]
-    cells = [(mat.name, key) for mat in config.materials for key in keys]
-    has_delta = config.resolved_comparison() is not None
-    columns: list[tuple[str, str | None]] = [("gap_m", "gap_m")]
-    columns += [(f"u_{key}_J_per_m",) * 2 for key in keys]
-    for name, key in cells:
-        token = material_key(name)
-        columns.append(
+    names: list[tuple[str, str | None]] = [("gap_m", "gap_m")]
+    names += [(f"u_{key}_J_per_m",) * 2 for key in keys]
+    for mat in config.materials:
+        token = material_key(mat.name)
+        names += [
             (f"t_max_{token}_{key}_m", f"t_max_{token}_m" if key == ref.key else None)
-        )
-    if has_delta:
-        columns.append(("delta", "delta"))
-
-    def values(row: SweepRow) -> list[float]:
-        out = [row.gap, *map(row.energies.__getitem__, keys)]
-        out += map(row.thickness.__getitem__, cells)
-        if has_delta:
-            out.append(row.delta)
-        return out
-
-    return columns, values
+            for key in keys
+        ]
+    if config.resolved_comparison() is not None:
+        names.append(("delta", "delta"))
+    return names
 
 
-def _render_sweep(table: SweepTable) -> tuple[str, str]:
-    """The CSV text and the sidecar's "rows" array as JSON text, in one pass.
+def _render_sweep(config: SweepConfig, columns: list[list[float]]) -> tuple[str, str]:
+    """The CSV text and the sidecar's "rows" array as JSON text of a sweep's
+    columns, in the order _column_names gives.
 
     Each value is formatted once, by repr (which round-trips bit-exactly and
     is also how json writes a finite float), and the same string goes to the
     CSV cell and to the sidecar row. The rows array is laid out as
     json.dumps(..., indent=2) lays it out as the value of a top-level key.
     """
-    columns, values = _sweep_columns(table.config)
-    in_csv = [i for i, (_, header) in enumerate(columns) if header is not None]
-    labels = [json.dumps(key) + ": " for key, _ in columns]
-    csv_lines = [",".join(header for _, header in columns if header is not None)]
-    json_rows = []
-    for row in table.rows:
-        numbers = values(row)
-        texts = list(map(repr, numbers))
-        csv_lines.append(",".join([texts[i] for i in in_csv]))
-        if not math.isfinite(sum(numbers)):
-            # json writes NaN and Infinity where repr writes nan and inf. The
-            # sum is non-finite whenever a value is; on a finite overflow
-            # json.dumps simply repeats repr.
-            texts = list(map(json.dumps, numbers))
-        json_rows.append(
-            "{\n      " + ",\n      ".join(map(str.__add__, labels, texts)) + "\n    }"
-        )
-    rows_json = "[\n    " + ",\n    ".join(json_rows) + "\n  ]"
+    names = _column_names(config)
+    texts = [list(map(repr, column)) for column in columns]
+    csv_texts = [text for text, (_, header) in zip(texts, names) if header is not None]
+    csv_lines = [",".join(header for _, header in names if header is not None)]
+    csv_lines += map(",".join, zip(*csv_texts))
+    # json writes NaN and Infinity where repr writes nan and inf. The sum is
+    # non-finite whenever a value is; on a finite overflow json.dumps simply
+    # repeats repr.
+    texts = [
+        text if math.isfinite(sum(column)) else list(map(json.dumps, column))
+        for text, column in zip(texts, columns)
+    ]
+    row = "{\n      " + ",\n      ".join(json.dumps(key) + ": %s" for key, _ in names) + "\n    }"
+    rows_json = "[\n    " + ",\n    ".join(map(row.__mod__, zip(*texts))) + "\n  ]"
     return "\n".join(csv_lines) + "\n", rows_json
 
 
@@ -303,10 +286,13 @@ def _material_dict(mat: Material) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
-    if args.gap_min > args.gap_max:
-        raise ValueError("gap-min exceeds gap-max")
     if not 1 <= args.points <= MAX_POINTS:
         raise ValueError(f"points must lie in [1, {MAX_POINTS:,}], got {args.points}")
+    for gap in (args.gap_min, args.gap_max):  # before building a material, which can warn
+        if not gap > 0.0:
+            raise NonPositiveGapError(f"gap must be positive, got {gap}")
+    if args.gap_min > args.gap_max:
+        raise ValueError("gap-min exceeds gap-max")
     table = material_table(args.materials_file)
     materials = tuple(_build_material(table, name) for name in args.materials.split(","))
     config = SweepConfig(
@@ -318,8 +304,9 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
         materials=materials,
         models=args.models,
     )
-    table = run_sweep(config)
-    text, rows_json = _render_sweep(table)
+    gaps, energies, thickness, delta, arc_length = _sweep_columns(config)
+    columns = [gaps, *energies, *thickness, *([] if delta is None else [delta])]
+    text, rows_json = _render_sweep(config, columns)
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
         return EXIT_OK
@@ -335,7 +322,7 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
             "gap_min_m": config.gap_min,
             "gap_max_m": config.gap_max,
             "points": config.points,
-            "arc_length_m": table.arc_length,
+            "arc_length_m": arc_length,
         },
         extra_metadata={
             "materials": [_material_dict(m) for m in config.materials],
@@ -346,18 +333,19 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     sidecar.write_text(_record_json(record, rows_json), encoding="utf-8")
 
     ref = config.reference_model()
+    ref_columns = thickness[config.models.index(ref)::len(config.models)]  # one per material
 
-    def show(row) -> str:
-        cells = [f"gap {row.gap:.4g} m"]
+    def show(i: int) -> str:
+        cells = [f"gap {gaps[i]:.4g} m"]
         cells += [
-            f"t_max[{mat.name}, {ref.label}] = {row.thickness[(mat.name, ref.key)]:.4g} m"
-            for mat in config.materials
+            f"t_max[{mat.name}, {ref.label}] = {column[i]:.4g} m"
+            for mat, column in zip(config.materials, ref_columns)
         ]
         return "; ".join(cells)
 
-    print(f"wrote {len(table.rows)} rows to {out} (metadata: {sidecar})")
-    print("first: " + show(table.rows[0]))
-    print("last:  " + show(table.rows[-1]))
+    print(f"wrote {len(gaps)} rows to {out} (metadata: {sidecar})")
+    print("first: " + show(0))
+    print("last:  " + show(-1))
     return EXIT_OK
 
 

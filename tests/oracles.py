@@ -4,7 +4,9 @@ Everything here deliberately avoids the package's own closed forms and
 cancellation-safe formula variants: plain midpoint rule on numpy arrays,
 40-digit mpmath quadrature of the integrands, and textbook closed forms, so
 agreement with the library is a genuine cross-check and not the same code
-evaluated twice.
+evaluated twice. The exception is reference_sweep, which pins the order of a
+sweep's rows and errors, not its arithmetic, and so calls the package's arc
+kernel and bending coefficient.
 """
 
 import math
@@ -12,6 +14,11 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+
+from arcplate.analysis import SweepRow, _bending_coefficient, fractional_deviation
+from arcplate.casimir import _ARC_COEF, _ArcKernel
+from arcplate.errors import NonFiniteResultError, NonNegativeEnergyError
+from arcplate.geometry import ArcGeometry
 
 HBAR = 1.054571817e-34  # J*s
 C = 299792458.0  # m/s
@@ -92,3 +99,39 @@ def bending_coefficient(e_pa: float, nu: float, radius: float, half_span: float)
     """C with U_bend = C * t^3: E * L / (24 (1 - nu^2) R^2), closed-form L."""
     length = 2.0 * radius * math.asin(half_span / radius)
     return e_pa * length / (24.0 * (1.0 - nu * nu) * radius * radius)
+
+
+def reference_sweep(config) -> tuple[list[SweepRow], float]:
+    """(rows, arc length) of a sweep, evaluated row by row as run_sweep did
+    up to arcplate 0.3.0: per gap the arc integrals, then every model's
+    energy, then every (material, model) thickness, then the deviation. The
+    first gap that fails a check raises its error."""
+    gaps = config.gaps()
+    geom = ArcGeometry(radius=config.radius, half_span=config.half_span, gap=gaps[0])
+    kernel = _ArcKernel(geom)
+    keys = [model.key for model in config.models]
+    weights = [model.gradient_weight * (2.0 / 3.0) for model in config.models]
+    cells = [(mat.name, key) for mat in config.materials for key in keys]
+    coefs = [
+        _bending_coefficient(mat, kernel.arc_length, config.radius) for mat in config.materials
+    ]
+    pair = config.resolved_comparison()
+    if pair is not None:
+        first_material = config.materials[0].name
+        other, reference = (first_material, pair[0].key), (first_material, pair[1].key)
+    rows = []
+    for gap in gaps:
+        i0, i1 = kernel.integrals(gap)
+        us = [-_ARC_COEF * (i0 + weight * i1) for weight in weights]
+        for u in us:
+            if not u < 0.0:
+                raise NonNegativeEnergyError(f"need an attractive (negative) energy, got {u}")
+        ts = [(-u / coef) ** (1.0 / 3.0) for coef in coefs for u in us]
+        if 0.0 in ts or math.inf in ts:
+            raise NonFiniteResultError(f"critical thicknesses {ts} m leave the range of a double")
+        thickness = dict(zip(cells, ts))
+        delta = None
+        if pair is not None:
+            delta = fractional_deviation(thickness[other], thickness[reference])
+        rows.append(SweepRow(gap, dict(zip(keys, us)), thickness, delta))
+    return rows, kernel.arc_length

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arcplate.analysis
 from arcplate import (
     NTLO,
     PFA,
     ArcGeometry,
+    ArcPlateError,
     ContactViolationError,
     Material,
     NonFiniteResultError,
@@ -27,6 +30,7 @@ from arcplate import (
 )
 from arcplate.analysis import MAX_POINTS
 from arcplate.casimir import _ArcKernel
+from oracles import reference_sweep
 
 R = 100e-6
 Y_MAX = 3e-6
@@ -320,6 +324,44 @@ FOIL = Material("foil", youngs_modulus=70e9, poisson_ratio=0.35)
 SAGITTA = ArcGeometry(radius=R, half_span=Y_MAX, gap=0.1e-6).sagitta
 
 
+def log_uniform(low: float, high: float) -> st.SearchStrategy[float]:
+    """10**x for x uniform in [low, high]."""
+    return st.floats(low, high).map(lambda x: 10.0**x)
+
+
+@st.composite
+def sweep_configs(draw) -> SweepConfig:
+    """Sweeps of 1 to 5 gaps. Most stay in range; the rest touch the arc at
+    the first gap, cross gap/radius 0.5 at a later one, or take radii, spans
+    and Young's moduli whose integrals, bending coefficients or thicknesses
+    leave the range of a double."""
+    radius = draw(st.one_of(log_uniform(-7, 3), log_uniform(-8, 150)))
+    half_span = radius * draw(log_uniform(-8, math.log10(0.9)))
+    sagitta = half_span**2 / (radius + math.sqrt(radius**2 - half_span**2))  # as ArcGeometry's
+    gap_min = sagitta * draw(st.one_of(log_uniform(0.001, 4), log_uniform(-0.3, 8)))
+    gap_max = radius * draw(st.one_of(log_uniform(-9, 0.3), st.floats(0.3, 2.0)))
+    # the metals' decade, the subnormal moduli that overflow thicknesses, the
+    # huge ones that underflow them, and anything in between
+    moduli = st.integers(0, 3).flatmap(
+        lambda k: [log_uniform(8, 12), log_uniform(-323, -300), log_uniform(250, 300),
+                   log_uniform(-313, 300)][k]
+    )
+    materials = [
+        Material(f"m{i}", youngs_modulus=draw(moduli), poisson_ratio=draw(st.floats(-0.9, 0.49)))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    return SweepConfig(
+        gap_min=gap_min,
+        gap_max=max(gap_min, gap_max),
+        points=draw(st.integers(1, 5)),
+        radius=radius,
+        half_span=half_span,
+        materials=materials,
+        models=draw(st.lists(st.sampled_from(MANY_MODELS[:4]), min_size=1, max_size=4,
+                             unique=True)),
+    )
+
+
 class TestSweepKernel:
     """run_sweep against a direct, per-value evaluation of every row."""
 
@@ -401,14 +443,42 @@ class TestSweepKernel:
                   materials=(Material("x", youngs_modulus=1e-313, poisson_ratio=0.3),)),
              NonFiniteResultError,
              "critical thicknesses [inf, inf] m leave the range of a double"),
+            # the thicknesses overflow at the first gap, before the second
+            # reaches gap/radius = 0.6
+            (dict(radius=1e-6, half_span=1e-9, gap_min=1e-12, gap_max=0.6e-6, points=2,
+                  materials=(Material("x", youngs_modulus=1e-313, poisson_ratio=0.3),)),
+             NonFiniteResultError,
+             "critical thicknesses [inf, inf] m leave the range of a double"),
         ],
-        ids=["contact", "half-radius", "past-radius", "integrals", "bending", "thickness"],
+        ids=["contact", "half-radius", "past-radius", "integrals", "bending", "thickness",
+             "thickness-before-half-radius"],
     )
     def test_error_messages(self, overrides, error, message):
         with pytest.raises(error) as info:
             run_sweep(config(**overrides))
         assert type(info.value) is error
         assert str(info.value) == message
+
+    @settings(max_examples=500, deadline=None)
+    @given(sweep_configs())
+    def test_rows_and_errors_equal_row_by_row_reference(self, cfg):
+        """Rows == those of the row-by-row loop, or the same first error.
+
+        The draws cover gaps that touch the arc, later gaps past gap/radius
+        0.5, integrals, bending coefficients and thicknesses out of a
+        double's range, at the first gap or a later one."""
+        try:
+            rows, arc_length = reference_sweep(cfg)
+        except ArcPlateError as exc:
+            with pytest.raises(type(exc)) as info:
+                run_sweep(cfg)
+            assert type(info.value) is type(exc)
+            assert str(info.value) == str(exc)
+        else:
+            table = run_sweep(cfg)
+            assert list(table.rows) == rows
+            assert [repr(row) for row in table.rows] == [repr(row) for row in rows]
+            assert table.arc_length == arc_length
 
     @pytest.mark.parametrize(
         "overrides",

@@ -8,11 +8,15 @@ commands that must not warn about materials they do not use. All import the
 arcplate package this suite imported, so none needs an install.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from datetime import datetime
 from pathlib import Path
@@ -22,16 +26,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arcplate
+import arcplate.analysis
 from arcplate import (
     NTLO,
     PFA,
     SweepConfig,
-    SweepRow,
-    SweepTable,
     material_by_name,
     run_sweep,
     scaled_ntlo,
 )
+from arcplate.casimir import _ArcKernel
 from arcplate.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -328,6 +332,8 @@ class TestSweep:
             (("energy", "--geometry", "parallel", "--gap", "0um"),
              "plate separation must be positive, got 0.0"),
             (("validate", "--gap", "0um"), "gap must be positive, got 0.0"),
+            (("sweep", "--gap-max=-1um", "--points", "2"), "gap must be positive, got -1e-06"),
+            (("sweep", "--gap-max", "0um", "--points", "2"), "gap must be positive, got 0.0"),
         ],
     )
     def test_non_positive_gap_is_a_physics_error(self, capsys, argv, message):
@@ -396,19 +402,39 @@ class TestSweepOutputContract:
             gap_min=1e-7, gap_max=1e-7, points=1, radius=1e-4, half_span=3e-6,
             materials=(material_by_name("gold"),), models=(PFA, NTLO),
         )
-        row = SweepRow(
-            gap=1e-7,
-            energies={"pfa": -math.inf, "ntlo": math.nan},
-            thickness={("gold", "pfa"): math.inf, ("gold", "ntlo"): 1e-9},
-            delta=math.nan,
-        )
-        csv_text, rows_json = _render_sweep(SweepTable(cfg, (row,), arc_length=6e-6))
-        assert csv_text.splitlines()[1] == "1e-07,-inf,nan,1e-09,nan"
+        # gap, u_pfa, u_ntlo, t_max[gold, pfa], t_max[gold, ntlo], delta
         values = [1e-7, -math.inf, math.nan, math.inf, 1e-9, math.nan]
+        csv_text, rows_json = _render_sweep(cfg, [[value] for value in values])
+        assert csv_text.splitlines()[1] == "1e-07,-inf,nan,1e-09,nan"
         keys = ["gap_m", "u_pfa_J_per_m", "u_ntlo_J_per_m", "t_max_au_pfa_m",
                 "t_max_au_ntlo_m", "delta"]
         expected = json.dumps({"rows": [dict(zip(keys, values))]}, indent=2)
         assert expected == '{\n  "rows": ' + rows_json + "\n}"
+
+
+class TestSweepColumns:
+    """sweep renders the columns of one evaluation per gap, without rows."""
+
+    def test_builds_no_row_and_one_integral_per_gap(self, monkeypatch, capsys, tmp_path):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("sweep built a SweepRow")
+
+        calls = []
+        integrals = _ArcKernel.integrals
+
+        def counted(kernel, gap):
+            calls.append(gap)
+            return integrals(kernel, gap)
+
+        monkeypatch.setattr(arcplate.analysis, "SweepRow", no_rows)
+        monkeypatch.setattr(_ArcKernel, "integrals", counted)
+        code, _, _ = run_cli(capsys, "sweep", "--points", "17", "--out", str(tmp_path / "s.csv"))
+        assert code == EXIT_OK
+        cfg = SweepConfig(
+            gap_min=parse_length("0.1um"), gap_max=parse_length("1um"), points=17,
+            radius=1e-4, half_span=3e-6, materials=(material_by_name("gold"),), models=(PFA,),
+        )
+        assert calls == cfg.gaps()
 
 
 class TestMaterialWarnings:
@@ -432,6 +458,11 @@ class TestMaterialWarnings:
         result = self.run(tmp_path, "sweep", "--points", "2000000")
         assert result.returncode == EXIT_USAGE
         assert result.stderr == "error: points must lie in [1, 1,000,000], got 2000000\n"
+
+    def test_non_positive_gap_builds_no_material(self, tmp_path):
+        result = self.run(tmp_path, "sweep", "--gap-min", "0um", "--points", "2")
+        assert result.returncode == EXIT_PHYSICS
+        assert result.stderr == "error: gap must be positive, got 0.0\n"
 
     def test_show_gold_is_quiet(self, tmp_path):
         result = self.run(tmp_path, "materials", "show", "gold")
@@ -653,6 +684,90 @@ class TestOutOfDoubleRange:
         assert code == EXIT_PHYSICS
         assert out == ""
         assert err.startswith("error: ") and "double" in err
+
+
+def length_texts(near: int) -> st.SearchStrategy[str]:
+    """Length flag values in every unit: three in five within a decade of
+    10**near m, the rest 1e-320 to 1e308 m, or nan, inf, -0, negatives and
+    malformed numbers."""
+    def lengths(low: int, high: int) -> st.SearchStrategy[str]:
+        return st.builds(
+            lambda digits, exponent, unit: f"{digits}e{exponent - UNIT_EXPONENTS[unit]}{unit}",
+            st.sampled_from(["1", "2.5", "9.99", "1.0000001", ".5"]),
+            st.integers(low, high),
+            st.sampled_from(sorted(UNIT_EXPONENTS)),
+        )
+
+    odd = st.sampled_from([
+        "nan", "nanum", "inf", "infm", "-infnm", "-0um", "-0", "0m", "-1um", "-3e-7m",
+        "1..2um", "um", "1e", "1eum", "0x10nm", "", "1 um", "1um1", "1e400m", "1e-400m",
+        "1e99999999999999999999m", "١um",
+    ])
+    return st.integers(0, 4).flatmap(
+        lambda k: (lengths(-320, 308), odd)[k] if k < 2 else lengths(near - 1, near)
+    )
+
+
+def sweep_argvs() -> st.SearchStrategy[list[str]]:
+    """`sweep` argument lists: lengths, points 1 to 5, model and material
+    lists, mostly valid."""
+    def tokens(valid: list[str], invalid: list[str]) -> st.SearchStrategy[str]:
+        return st.integers(0, 2).flatmap(
+            lambda k: st.lists(st.sampled_from(valid + invalid if k == 0 else valid),
+                               min_size=1, max_size=3)
+        ).map(",".join)
+
+    options = {
+        "--r": length_texts(-4),
+        "--span": length_texts(-5),
+        "--gap-min": length_texts(-7),
+        "--gap-max": length_texts(-6),
+        "--models": tokens(["pfa", "ntlo", "scaled-ntlo:0.5", "scaled-ntlo:0"],
+                           ["scaled-ntlo:2", "scaled-ntlo:nan", "scaled-ntlo:x", "nlo", ""]),
+        "--materials": tokens(["gold", "silver"], ["GOLD", "copper", ""]),
+    }
+    points = st.integers(0, 9).flatmap(
+        lambda k: st.sampled_from(["0", "x", "-1"]) if k == 0 else st.integers(1, 5).map(str)
+    )
+    # --points is always given, so the default grid of 1000 gaps is never run
+    flags = st.fixed_dictionaries({"--points": points}, optional=options)
+    return flags.map(lambda values: [f"{name}={value}" for name, value in values.items()])
+
+
+def numbers(text: str) -> list[float]:
+    """Every token of the text that float() reads, nan and inf included."""
+    found = []
+    for token in re.split(r"[\s,;:=\[\]{}()\"]+", text):
+        try:
+            found.append(float(token))
+        except ValueError:
+            pass
+    return found
+
+
+class TestSweepFuzz:
+    """Any sweep argv exits 0, 2, 3 or 4, without a traceback, and writes only
+    finite numbers on success."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(argv=sweep_argvs(), to_file=st.booleans())
+    def test_exit_codes_and_finite_output(self, argv, to_file):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "s.csv"
+            argv = ["sweep", *argv, *(["--out", str(out)] if to_file else [])]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_PHYSICS, EXIT_CONFIG), stderr.getvalue()
+            assert "Traceback" not in stderr.getvalue()
+            if code != EXIT_OK:
+                return
+            written = [stdout.getvalue().replace(tmp, "")]
+            if to_file:
+                sidecar = json.loads(out.with_name("s.meta.json").read_text())
+                written += [out.read_text(), json.dumps(sidecar)]
+            for text in written:
+                assert all(map(math.isfinite, numbers(text))), text
 
 
 class TestValidate:
