@@ -13,7 +13,7 @@ import math
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
-from .casimir import _ARC_COEF, NTLO, PFA, EnergyModel, _ArcKernel
+from .casimir import _ARC_COEF, NTLO, PFA, EnergyModel
 from .elasticity import Material
 from .errors import (
     ArcPlateError,
@@ -55,7 +55,7 @@ def _bending_coefficient(mat: Material, arc_length: float, radius: float) -> flo
     thickness. It does not depend on the gap."""
     try:
         coef = mat.plane_strain_modulus * arc_length / (24.0 * radius**2)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # R**2 overflowed or underflowed to 0
         coef = 0.0
     if not 0.0 < coef < math.inf:
         raise NonFiniteResultError(
@@ -198,12 +198,12 @@ def _sweep_columns(
     model) cell, materials outermost, m; delta is the comparison pair's
     deviation at the first material, or None without a comparison.
 
-    One _ArcKernel serves the whole sweep; its integrals run once per gap, in
-    grid order, and each material's bending coefficient once per sweep, since
-    the arc length does not depend on the gap. Only the first gap builds an
-    ArcGeometry. The grid ascends from it and the sagitta does not depend on
-    the gap, so contact, a non-positive gap and the radius and span checks can
-    fail only there; the kernel checks gap/radius at every gap.
+    One ArcGeometry, at the first gap, serves the whole sweep: its integrals
+    run once per gap, in grid order, and each material's bending coefficient
+    once per sweep, since the arc length does not depend on the gap. The grid
+    ascends from the first gap and the sagitta does not depend on the gap, so
+    contact, a non-positive gap and the radius and span checks can fail only
+    there; _integrals checks gap/radius at every gap.
 
     Each column is checked whole, by min and max. Only when a check fails
     are the gaps evaluated one by one, so that the error raised is the one a
@@ -211,13 +211,11 @@ def _sweep_columns(
     """
     gaps = config.gaps()
     geom = ArcGeometry(radius=config.radius, half_span=config.half_span, gap=gaps[0])
-    kernel = _ArcKernel(geom)
+    arc_length = geom.arc_length()
     weights = [model.gradient_weight * (2.0 / 3.0) for model in config.models]
-    coefs = [
-        _bending_coefficient(mat, kernel.arc_length, config.radius) for mat in config.materials
-    ]
+    coefs = [_bending_coefficient(mat, arc_length, config.radius) for mat in config.materials]
     try:
-        integrals = list(map(kernel.integrals, gaps))
+        integrals = list(map(geom._integrals, gaps))
     except ArcPlateError:
         integrals = None
     if integrals is not None:
@@ -233,11 +231,11 @@ def _sweep_columns(
                 if pair is not None:  # first material: its cells lead
                     a, b = (thickness[config.models.index(model)] for model in pair)
                     delta = [abs(t_a - t_b) / t_b for t_a, t_b in zip(a, b)]
-                return gaps, energies, thickness, delta, kernel.arc_length
+                return gaps, energies, thickness, delta, arc_length
     # A check failed. Evaluate gap by gap, in grid order and with one gap's
     # checks in order (integrals, energies, thicknesses): the first failing
     # gap raises its error.
     for gap in gaps:
-        i0, i1 = kernel.integrals(gap)
+        i0, i1 = geom._integrals(gap)
         _thicknesses([-_ARC_COEF * (i0 + w * i1) for w in weights], coefs)
     raise AssertionError("a sweep column failed its check but no gap does")

@@ -19,7 +19,7 @@ import math
 from typing import Callable
 
 from .errors import NonFiniteResultError, NonPositiveGapError, PfaViolationError
-from .geometry import PFA_FAIL_RATIO, ArcGeometry, Frozen, _check_gap_ratio
+from .geometry import ArcGeometry, Frozen
 
 __all__ = [
     "PhysicalConstants",
@@ -162,98 +162,12 @@ def arc_energy(geom: ArcGeometry, model: EnergyModel) -> LineEnergy:
     """Arc-plate interaction energy per unit depth, J/m.
 
     -pi^2 hbar c / 1440 times I0 + kappa*(2/3)*I1, with I0 and I1 from
-    _ArcKernel.integrals. Both are positive, so kappa = 0 returns I0 exactly.
+    ArcGeometry._integrals. Both are positive, so kappa = 0 returns I0 exactly.
 
     Raises PfaViolationError when gap/radius reaches the 0.5 hard threshold
     of validate_pfa(); contact is already excluded by the geometry.
     """
     from ._records import LineEnergy
-    i0, i1 = _ArcKernel(geom).integrals(geom.gap)
+    i0, i1 = geom._integrals(geom.gap)
     weight = model.gradient_weight * (2.0 / 3.0)
     return LineEnergy(value=-_ARC_COEF * (i0 + weight * i1), model=model)
-
-
-class _ArcKernel:
-    """The arc integrals of one radius and half-span, at any gap.
-
-    Every term that does not depend on the gap (T = tan(theta_max/2),
-    1 + T^2, 2R, 4R, atanh(T), the sagitta and the arc length) is computed
-    once, from a validated geometry; integrals(gap) evaluates the rest.
-    A gap other than the geometry's must be at least the geometry's gap, so
-    that it clears the plate.
-    """
-
-    __slots__ = ("radius", "sagitta", "arc_length", "_t", "_one_plus_t2", "_two_r",
-                 "_four_r", "_atanh_t")
-
-    def __init__(self, geom: ArcGeometry) -> None:
-        R, Y = geom.radius, geom.half_span
-        self.radius = R
-        self.sagitta = geom.sagitta
-        self.arc_length = geom.arc_length()
-        self._t = T = Y / (R + math.sqrt(R * R - Y * Y))
-        self._one_plus_t2 = 1.0 + T * T
-        self._two_r = 2.0 * R
-        self._four_r = 4.0 * R
-        self._atanh_t = math.atanh(T)
-
-    def integrals(self, g: float) -> tuple[float, float]:
-        """(I0, I1): I0 = integral 1/psi^3 and I1 = integral psi'^2/psi^3
-        over the span at gap g, in 1/m^2. Every model's energy is linear in
-        them.
-
-        With y = R sin(theta), t = tan(theta/2) and B = (2R - g)/g,
-        psi = g (1 - B t^2)/(1 + t^2) and both integrands are rational in t
-        on [0, T]:
-
-            I0 = (4R/g^3) integral (1 - t^4) / (1 - B t^2)^3 dt
-            I1 = (4R/g^3) integral 4 t^2 (1 + t^2) / ((1 - t^2)(1 - B t^2)^3) dt
-
-        Their partial fractions need K_n = integral_0^T dt / (1 - B t^2)^n,
-        which obey K_(n+1) = T / (2n w^n) + (2n - 1)/(2n) K_n with
-        w = 1 - B T^2, and atanh(T) from the pole of I1 at t = 1. The
-        coefficients of I1 are simplified by hand so that none is a
-        difference of near-equal terms; the O(T) parts of its terms still
-        cancel, but they are small next to I0, so the energy and the ratio
-        I1/I0 (which fixes the pfa/ntlo deviation) stay accurate.
-
-        Raises PfaViolationError when gap/radius reaches the 0.5 hard
-        threshold of validate_pfa() (with ArcGeometry's message from 1 on),
-        and NonFiniteResultError when I0 is not positive or I0 + I1 is not
-        finite in double precision, so that every energy formed from them is
-        finite and negative.
-        """
-        R = self.radius
-        ratio = g / R
-        if ratio >= PFA_FAIL_RATIO:
-            _check_gap_ratio(g, R)
-            raise PfaViolationError(
-                f"gap/radius = {ratio:.3g} >= 0.5; the arc energy is not "
-                "evaluated beyond the proximity approximation's hard threshold"
-            )
-        T = self._t
-        B = (self._two_r - g) / g
-        b = math.sqrt(B)
-        # w = 1 - B T^2, written through the sagitta so that it is positive
-        # exactly when the geometry clears the plate
-        w = (g - self.sagitta) * self._one_plus_t2 / g
-        # atanh(bT)/b, via log1p: the plain log loses digits when bT is small
-        k1 = math.log1p(2.0 * b * T * (1.0 + b * T) / w) / (2.0 * b)
-        k2 = T / (2.0 * w) + 0.5 * k1
-        k3 = T / (4.0 * w * w) + 0.75 * k2
-        D = 2.0 * (R - g) / g  # B - 1, > 2 below the hard threshold
-        try:  # g**3 can underflow to zero and the powers of B overflow
-            scale = self._four_r / g**3
-            i0 = scale * ((1.0 - 1.0 / (B * B)) * k3 + (2.0 * k2 - k1) / (B * B))
-            i1 = scale * (
-                4.0 * (B + 1.0) / (B * D) * k3
-                - 4.0 * ((B + 1.0) ** 2 - 2.0) / (B * D * D) * k2
-                + 8.0 / D**3 * (B * k1 - self._atanh_t)
-            )
-        except (OverflowError, ZeroDivisionError):
-            i0 = i1 = math.nan
-        if not (i0 > 0.0 and math.isfinite(i0 + i1)):
-            raise NonFiniteResultError(
-                f"arc integrals at radius {R} m, gap {g} m out of double range"
-            )
-        return i0, i1

@@ -6,7 +6,7 @@ cancellation-safe formula variants: plain midpoint rule on numpy arrays,
 agreement with the library is a genuine cross-check and not the same code
 evaluated twice. The exception is reference_sweep, which pins the order of a
 sweep's rows and errors, not its arithmetic, and so calls the package's arc
-kernel and bending coefficient.
+integrals and bending coefficient.
 """
 
 import math
@@ -16,7 +16,7 @@ import mpmath as mp
 import numpy as np
 
 from arcplate.analysis import SweepRow, _bending_coefficient, fractional_deviation
-from arcplate.casimir import _ARC_COEF, _ArcKernel
+from arcplate.casimir import _ARC_COEF
 from arcplate.errors import NonFiniteResultError, NonNegativeEnergyError
 from arcplate.geometry import ArcGeometry
 
@@ -108,12 +108,12 @@ def reference_sweep(config) -> tuple[list[SweepRow], float]:
     first gap that fails a check raises its error."""
     gaps = config.gaps()
     geom = ArcGeometry(radius=config.radius, half_span=config.half_span, gap=gaps[0])
-    kernel = _ArcKernel(geom)
+    arc_length = geom.arc_length()
     keys = [model.key for model in config.models]
     weights = [model.gradient_weight * (2.0 / 3.0) for model in config.models]
     cells = [(mat.name, key) for mat in config.materials for key in keys]
     coefs = [
-        _bending_coefficient(mat, kernel.arc_length, config.radius) for mat in config.materials
+        _bending_coefficient(mat, arc_length, config.radius) for mat in config.materials
     ]
     pair = config.resolved_comparison()
     if pair is not None:
@@ -121,7 +121,7 @@ def reference_sweep(config) -> tuple[list[SweepRow], float]:
         other, reference = (first_material, pair[0].key), (first_material, pair[1].key)
     rows = []
     for gap in gaps:
-        i0, i1 = kernel.integrals(gap)
+        i0, i1 = geom._integrals(gap)
         us = [-_ARC_COEF * (i0 + weight * i1) for weight in weights]
         for u in us:
             if not u < 0.0:
@@ -134,4 +134,4 @@ def reference_sweep(config) -> tuple[list[SweepRow], float]:
         if pair is not None:
             delta = fractional_deviation(thickness[other], thickness[reference])
         rows.append(SweepRow(gap, dict(zip(keys, us)), thickness, delta))
-    return rows, kernel.arc_length
+    return rows, arc_length

@@ -29,7 +29,6 @@ from arcplate import (
     scaled_ntlo,
 )
 from arcplate.analysis import MAX_POINTS
-from arcplate.casimir import _ArcKernel
 from oracles import reference_sweep
 
 R = 100e-6
@@ -97,6 +96,8 @@ class TestCriticalThickness:
             (-1.0, Material("x", youngs_modulus=1e-313, poisson_ratio=0.3), GEOM),
             # |u| / C underflows to zero
             (-1e-300, Material("x", youngs_modulus=1e300, poisson_ratio=0.3), GEOM),
+            # radius**2 underflows to zero in the bending coefficient
+            (-1e-15, GOLD, ArcGeometry(radius=1e-170, half_span=5e-176, gap=1e-172)),
         ],
     )
     def test_rejects_results_out_of_double_range(self, u, mat, geom):
@@ -395,13 +396,13 @@ class TestSweepKernel:
     @pytest.mark.parametrize("models", [(NTLO,), (PFA, NTLO), MANY_MODELS])
     def test_one_arc_integral_per_gap(self, monkeypatch, models):
         calls = []
-        integrals = _ArcKernel.integrals
+        integrals = ArcGeometry._integrals
 
-        def counted(kernel, gap):
+        def counted(geom, gap):
             calls.append(gap)
-            return integrals(kernel, gap)
+            return integrals(geom, gap)
 
-        monkeypatch.setattr(_ArcKernel, "integrals", counted)
+        monkeypatch.setattr(ArcGeometry, "_integrals", counted)
         cfg = config(points=17, models=models, materials=(GOLD, SILVER, FOIL))
         run_sweep(cfg)
         assert calls == cfg.gaps()
@@ -439,6 +440,9 @@ class TestSweepKernel:
             (dict(radius=1e200, half_span=0.5, gap_min=1e-3, gap_max=1e-3, points=1),
              NonFiniteResultError,
              "gold: bending coefficient 0.0 J/m^4 at radius 1e+200 m is not a positive double"),
+            (dict(radius=1e-170, half_span=5e-176, gap_min=1e-172, gap_max=1e-172, points=1),
+             NonFiniteResultError,
+             "gold: bending coefficient 0.0 J/m^4 at radius 1e-170 m is not a positive double"),
             (dict(radius=1e-6, half_span=1e-9, gap_min=1e-12, gap_max=1e-12, points=1,
                   materials=(Material("x", youngs_modulus=1e-313, poisson_ratio=0.3),)),
              NonFiniteResultError,
@@ -450,8 +454,8 @@ class TestSweepKernel:
              NonFiniteResultError,
              "critical thicknesses [inf, inf] m leave the range of a double"),
         ],
-        ids=["contact", "half-radius", "past-radius", "integrals", "bending", "thickness",
-             "thickness-before-half-radius"],
+        ids=["contact", "half-radius", "past-radius", "integrals", "bending",
+             "bending-underflow", "thickness", "thickness-before-half-radius"],
     )
     def test_error_messages(self, overrides, error, message):
         with pytest.raises(error) as info:

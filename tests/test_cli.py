@@ -30,12 +30,12 @@ import arcplate.analysis
 from arcplate import (
     NTLO,
     PFA,
+    ArcGeometry,
     SweepConfig,
     material_by_name,
     run_sweep,
     scaled_ntlo,
 )
-from arcplate.casimir import _ArcKernel
 from arcplate.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -420,14 +420,14 @@ class TestSweepColumns:
             raise AssertionError("sweep built a SweepRow")
 
         calls = []
-        integrals = _ArcKernel.integrals
+        integrals = ArcGeometry._integrals
 
-        def counted(kernel, gap):
+        def counted(geom, gap):
             calls.append(gap)
-            return integrals(kernel, gap)
+            return integrals(geom, gap)
 
         monkeypatch.setattr(arcplate.analysis, "SweepRow", no_rows)
-        monkeypatch.setattr(_ArcKernel, "integrals", counted)
+        monkeypatch.setattr(ArcGeometry, "_integrals", counted)
         code, _, _ = run_cli(capsys, "sweep", "--points", "17", "--out", str(tmp_path / "s.csv"))
         assert code == EXIT_OK
         cfg = SweepConfig(
@@ -652,6 +652,8 @@ class TestOutOfDoubleRange:
             (("--r", "1um", "--span", "2e-106m"), "5e-107m"),  # 4R/g**3 overflows
             (("--r", "1um", "--span", "2e-60m"), "1e-110m"),  # g**3 underflows to 0
             (("--r", "1e200m", "--span", "1m"), "1mm"),  # R**2 and (B + 1)**2 overflow
+            (("--r", "1e-170m", "--span", "1e-175m"), "1e-172m"),  # R**2 underflows to 0
+            (("--r", "1e200m", "--span", "1e170m"), "1um"),  # R**2 and y_max**2 overflow
         ],
     )
     @pytest.mark.parametrize(
@@ -770,6 +772,151 @@ class TestSweepFuzz:
                 assert all(map(math.isfinite, numbers(text))), text
 
 
+def json_values() -> st.SearchStrategy[object]:
+    """Any JSON value, nested up to a few levels."""
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                    max_size=3),
+        max_leaves=8,
+    )
+
+
+def mostly(usual: st.SearchStrategy, rare: st.SearchStrategy) -> st.SearchStrategy:
+    """usual three times in four, else rare."""
+    return st.integers(0, 3).flatmap(lambda k: usual if k else rare)
+
+
+def material_entries() -> st.SearchStrategy[object]:
+    """Materials-file entries: mostly valid ones, else near-valid ones with a
+    field missing, unknown, of the wrong type or any number, or any JSON
+    value."""
+    fields = {
+        "name": st.sampled_from(["foil", "Foil ", "gold", "Silver"]),
+        "youngs_modulus_pa": st.floats(1e8, 1e12),
+        "poisson_ratio": st.floats(-0.9, 0.6),
+    }
+    optional = {"sigma_e_pa": st.floats(0.0, 1e10), "sigma_nu": st.floats(0.0, 0.1)}
+    entries = st.fixed_dictionaries(fields, optional=optional)
+    odd = st.one_of(
+        st.sampled_from(["", " ", "70e9", None, True, [1.0], {"x": 1}, 10**400, 1e-320, 1e300]),
+        st.floats(), st.integers(),
+    )
+
+    def broken(entry: dict, k: int, field: str, value: object) -> dict:
+        entry = dict(entry)
+        if k == 0:
+            entry.pop(field, None)  # missing
+        elif k == 1:
+            entry[field.upper()] = 1.0  # unknown
+        else:
+            entry[field] = value  # wrong type or value
+        return entry
+
+    near = st.builds(broken, entries, st.integers(0, 2),
+                     st.sampled_from(sorted(fields) + sorted(optional)), odd)
+    return mostly(entries, near | json_values())
+
+
+def materials_files() -> st.SearchStrategy[str]:
+    """Materials-file texts: mostly arrays of entries, else any JSON
+    document or text that is not JSON."""
+    return mostly(st.lists(material_entries(), min_size=1, max_size=3).map(json.dumps),
+                  json_values().map(json.dumps) | st.sampled_from(["", "[", "{]", "nul"]))
+
+
+def flag_argvs(required: dict, optional: dict) -> st.SearchStrategy[list[str]]:
+    flags = st.fixed_dictionaries(required, optional=optional)
+    return flags.map(lambda values: [f"{name}={value}" for name, value in values.items()])
+
+
+def energy_argvs() -> st.SearchStrategy[list[str]]:
+    """`energy` argument lists: every geometry, quantity and model, lengths,
+    mostly valid."""
+    quantities = {"arc": ["energy"], "parallel": ["pressure", "energy-density"],
+                  "sphere": ["energy", "force"]}
+
+    def argvs(geometry: str) -> st.SearchStrategy[list[str]]:
+        return flag_argvs({"--geometry": st.just(geometry), "--gap": length_texts(-7)}, {
+            "--r": length_texts(-4),
+            "--span": length_texts(-5),
+            "--quantity": mostly(st.sampled_from(quantities.get(geometry, ["energy"])),
+                                 st.sampled_from(["force", "pressure", "power", ""])),
+            "--model": mostly(st.sampled_from(["pfa", "ntlo", "scaled-ntlo:0.5", "scaled-ntlo:0"]),
+                              st.sampled_from(["scaled-ntlo:2", "scaled-ntlo:nan", "nlo"])),
+        })
+
+    geometries = mostly(st.sampled_from(sorted(quantities)), st.sampled_from(["cone", ""]))
+    return geometries.flatmap(argvs).map(lambda argv: ["energy", *argv])
+
+
+def validate_argvs() -> st.SearchStrategy[list[str]]:
+    """`validate` argument lists, with and without --thickness and --span-b."""
+    return flag_argvs({}, {
+        "--r": length_texts(-4),
+        "--span": length_texts(-5),
+        "--gap": length_texts(-7),
+        "--thickness": length_texts(-8),
+        "--span-b": length_texts(-5),
+    }).map(lambda argv: ["validate", *argv])
+
+
+def materials_argvs() -> st.SearchStrategy[list[str]]:
+    """`materials list` and `materials show NAME`."""
+    names = st.sampled_from(["gold", "silver", "foil", "GOLD", " Foil ", "copper", "", "a b"])
+    return st.one_of(st.just(["materials", "list"]),
+                     names.map(lambda name: ["materials", "show", name]))
+
+
+def sweep_file_argvs() -> st.SearchStrategy[list[str]]:
+    """`sweep` argument lists as sweep_argvs draws them, mostly with a
+    material that only a materials file defines."""
+    names = mostly(st.sampled_from(["foil", "gold,Foil"]),
+                   st.lists(st.sampled_from(["gold", "silver", "foil", "b"]), min_size=1,
+                            max_size=3).map(",".join))
+    return st.tuples(sweep_argvs(), names).map(
+        lambda parts: ["sweep", *parts[0], f"--materials={parts[1]}"]
+    )
+
+
+class TestCommandFuzz:
+    """Any argv of any command, with or without a materials file of random
+    JSON where the command reads one, exits 0, 2, 3 or 4, without a
+    traceback, and writes only finite numbers on success."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        # sweep twice: fewest of its draws reach exit 0
+        argv=st.one_of(energy_argvs(), validate_argvs(), materials_argvs(), sweep_file_argvs(),
+                       sweep_file_argvs()),
+        materials=mostly(materials_files(), st.none()),
+        to_file=st.booleans(),
+    )
+    def test_exit_codes_and_finite_output(self, argv, materials, to_file):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "s.csv"
+            sweep = argv[0] == "sweep"
+            if materials is not None and argv[0] in ("sweep", "materials"):
+                (Path(tmp) / "m.json").write_text(materials)
+                argv = [*argv, f"--materials-file={Path(tmp) / 'm.json'}"]
+            if sweep and to_file:
+                argv = [*argv, "--out", str(out)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_PHYSICS, EXIT_CONFIG), stderr.getvalue()
+            assert "Traceback" not in stderr.getvalue()
+            if code != EXIT_OK:
+                return
+            written = [stdout.getvalue().replace(tmp, "")]
+            if sweep and to_file:
+                sidecar = json.loads(out.with_name("s.meta.json").read_text())
+                written += [out.read_text(), json.dumps(sidecar)]
+            for text in written:
+                assert all(map(math.isfinite, numbers(text))), text
+
+
 class TestValidate:
     def test_defaults_pass(self, capsys):
         code, out, _ = run_cli(capsys, "validate")
@@ -809,6 +956,19 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "--gap", "200um")
         assert code == EXIT_PHYSICS
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--gap", "0.1um", "--r", "1e308m", "--span", "1e308m"),
+            ("--r", "1e200m", "--span", "1e170m", "--gap", "1um"),  # sagitta 1.25e139 m
+        ],
+    )
+    def test_sagitta_out_of_double_range(self, capsys, argv):
+        code, out, err = run_cli(capsys, "validate", *argv)
+        assert code == EXIT_PHYSICS
+        assert out == ""
+        assert err.startswith("error: sagitta at radius ") and "double" in err
 
 
 class TestMaterials:

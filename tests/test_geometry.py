@@ -6,7 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from arcplate.errors import ContactViolationError, NonPositiveGapError, PfaViolationError
+from arcplate.errors import (
+    ContactViolationError,
+    NonFiniteResultError,
+    NonPositiveGapError,
+    PfaViolationError,
+)
 from arcplate.geometry import PFA_FAIL_RATIO, PFA_WARN_RATIO, ArcGeometry
 
 from arc_profile import OutOfSpanError, separation, slope
@@ -56,6 +61,16 @@ class TestConstruction:
     def test_gap_ratio_one_is_hard_pfa_violation(self):
         with pytest.raises(PfaViolationError):
             arc(100e-6)
+
+    @pytest.mark.parametrize("radius,half_span", [(1e308, 5e307), (1e200, 5e169)])
+    def test_sagitta_out_of_double_range(self, radius, half_span):
+        # R**2 and y_max**2 both overflow, so the float sagitta is nan; the
+        # second arc's true sagitta, 1.25e139 m, would touch the plate
+        with pytest.raises(NonFiniteResultError) as info:
+            ArcGeometry(radius=radius, half_span=half_span, gap=1e-6)
+        assert str(info.value) == (
+            f"sagitta at radius {radius} m, half-span {half_span} m out of double range"
+        )
 
     def test_large_but_legal_ratio_constructs(self):
         # 0.6 is reportable as fail but must remain constructible

@@ -114,6 +114,18 @@ def test_copies_and_pickles_are_equal(cls, kwargs, expected):
         assert twin == value
 
 
+@pytest.mark.parametrize(
+    "copier", [copy.copy, copy.deepcopy, lambda geom: pickle.loads(pickle.dumps(geom))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_arc_geometry_copies_keep_the_derived_terms(copier):
+    geom = ArcGeometry(radius=1e-4, half_span=3e-6, gap=1e-7)
+    twin = copier(geom)
+    assert twin.sagitta == geom.sagitta
+    for gap in (geom.gap, 7e-7):
+        assert twin._integrals(gap) == geom._integrals(gap)
+
+
 def test_copying_does_not_rerun_the_checks():
     with pytest.warns(MaterialWarning):
         silver = material_by_name("silver")
