@@ -51,25 +51,15 @@ from .errors import (
 )
 from .geometry import ArcGeometry, PfaReport
 
-__version__ = "0.3.0"
-
-
-def __getattr__(name: str) -> object:
-    """PhysicalConstants, CODATA and LineEnergy, imported on first use."""
-    if name in ("PhysicalConstants", "CODATA", "LineEnergy"):
-        from . import _records
-        return getattr(_records, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__version__ = "0.4.0"
 
 
 __all__ = [
     "ArcGeometry",
     "ArcPlateError",
-    "CODATA",
     "ContactViolationError",
     "CurvatureTensor",
     "EnergyModel",
-    "LineEnergy",
     "Material",
     "MaterialConfigError",
     "MaterialNotFoundError",
@@ -82,7 +72,6 @@ __all__ = [
     "PFA",
     "PfaReport",
     "PfaViolationError",
-    "PhysicalConstants",
     "SweepConfig",
     "SweepRow",
     "SweepTable",

@@ -22,13 +22,10 @@ from .errors import NonFiniteResultError, NonPositiveGapError, PfaViolationError
 from .geometry import ArcGeometry, Frozen
 
 __all__ = [
-    "PhysicalConstants",
-    "CODATA",
     "EnergyModel",
     "PFA",
     "NTLO",
     "scaled_ntlo",
-    "LineEnergy",
     "parallel_plate_pressure",
     "parallel_plate_energy_density",
     "sphere_plate_force",
@@ -39,14 +36,6 @@ __all__ = [
 
 _HBAR = 1.054571817e-34  # J*s, CODATA 2018
 _C = 299792458.0  # m/s, exact
-
-
-def __getattr__(name: str) -> object:
-    """PhysicalConstants, CODATA and LineEnergy, imported on first use."""
-    if name in ("PhysicalConstants", "CODATA", "LineEnergy"):
-        from . import _records
-        return getattr(_records, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # Coefficients evaluated once; every formula below is coefficient / power of
@@ -158,16 +147,16 @@ def sphere_plate_energy(R: float, d: float) -> float:
     )
 
 
-def arc_energy(geom: ArcGeometry, model: EnergyModel) -> LineEnergy:
+def arc_energy(geom: ArcGeometry, model: EnergyModel) -> float:
     """Arc-plate interaction energy per unit depth, J/m.
 
     -pi^2 hbar c / 1440 times I0 + kappa*(2/3)*I1, with I0 and I1 from
     ArcGeometry._integrals. Both are positive, so kappa = 0 returns I0 exactly.
 
     Raises PfaViolationError when gap/radius reaches the 0.5 hard threshold
-    of validate_pfa(); contact is already excluded by the geometry.
+    of validate_pfa(), and NonFiniteResultError when the integrals leave the
+    range of a double; contact is already excluded by the geometry.
     """
-    from ._records import LineEnergy
     i0, i1 = geom._integrals(geom.gap)
     weight = model.gradient_weight * (2.0 / 3.0)
-    return LineEnergy(value=-_ARC_COEF * (i0 + weight * i1), model=model)
+    return -_ARC_COEF * (i0 + weight * i1)

@@ -201,13 +201,23 @@ def _column_names(config: SweepConfig) -> list[tuple[str, str | None]]:
     and the deviation, with None as the header of a column the CSV leaves
     out. The CSV keeps the gap, every energy, the reference model's thickness
     per material and the deviation, a subsequence of the sidecar's columns.
+
+    Raises ValueError when two materials give one token, which would name
+    two columns alike.
     """
     ref = config.reference_model()
     keys = [model.key for model in config.models]
     names: list[tuple[str, str | None]] = [("gap_m", "gap_m")]
     names += [(f"u_{key}_J_per_m",) * 2 for key in keys]
+    owners: dict[str, str] = {}
     for mat in config.materials:
         token = material_key(mat.name)
+        if token in owners:
+            raise ValueError(
+                f"materials {owners[token]!r} and {mat.name!r} share the column "
+                f"token {token!r}; rename one in the materials file"
+            )
+        owners[token] = mat.name
         names += [
             (f"t_max_{token}_{key}_m", f"t_max_{token}_m" if key == ref.key else None)
             for key in keys
@@ -217,16 +227,17 @@ def _column_names(config: SweepConfig) -> list[tuple[str, str | None]]:
     return names
 
 
-def _render_sweep(config: SweepConfig, columns: list[list[float]]) -> tuple[str, str]:
+def _render_sweep(
+    names: list[tuple[str, str | None]], columns: list[list[float]]
+) -> tuple[str, str]:
     """The CSV text and the sidecar's "rows" array as JSON text of a sweep's
-    columns, in the order _column_names gives.
+    columns, named and ordered as _column_names gives.
 
     Each value is formatted once, by repr (which round-trips bit-exactly and
     is also how json writes a finite float), and the same string goes to the
     CSV cell and to the sidecar row. The rows array is laid out as
     json.dumps(..., indent=2) lays it out as the value of a top-level key.
     """
-    names = _column_names(config)
     texts = [list(map(repr, column)) for column in columns]
     csv_texts = [text for text, (_, header) in zip(texts, names) if header is not None]
     csv_lines = [",".join(header for _, header in names if header is not None)]
@@ -304,9 +315,10 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
         materials=materials,
         models=args.models,
     )
+    names = _column_names(config)  # before any work: a token collision exits 2
     gaps, energies, thickness, delta, arc_length = _sweep_columns(config)
     columns = [gaps, *energies, *thickness, *([] if delta is None else [delta])]
-    text, rows_json = _render_sweep(config, columns)
+    text, rows_json = _render_sweep(names, columns)
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
         return EXIT_OK
@@ -365,8 +377,8 @@ def cmd_energy(args: argparse.Namespace, argv: list[str]) -> int:
         )
     if args.geometry == "arc":
         geom = ArcGeometry(radius=args.r, half_span=args.span / 2.0, gap=args.gap)
-        line = arc_energy(geom, args.model)
-        rows = [{"kind": "arc", "model": line.model.label, "value_J_per_m": line.value}]
+        rows = [{"kind": "arc", "model": args.model.label,
+                 "value_J_per_m": arc_energy(geom, args.model)}]
         geometry = {
             "radius_m": geom.radius,
             "half_span_m": geom.half_span,

@@ -107,7 +107,7 @@ class TestCriticalThickness:
     @pytest.mark.parametrize("mat", [GOLD, SILVER])
     def test_round_trips_through_bending_energy(self, mat):
         # at the critical thickness the bending energy equals |U|
-        u = arc_energy(GEOM, NTLO).value
+        u = arc_energy(GEOM, NTLO)
         t = critical_thickness(u, mat, GEOM)
         assert bending_energy(mat, t, GEOM) == pytest.approx(abs(u), rel=1e-9)
 
@@ -221,7 +221,7 @@ class TestRunSweep:
         row = table.rows[0]
         geom = ArcGeometry(radius=R, half_span=Y_MAX, gap=0.5e-6)
         for model in (PFA, NTLO):
-            u = arc_energy(geom, model).value
+            u = arc_energy(geom, model)
             assert row.energies[model.key] == u
             assert row.thickness[("gold", model.key)] == critical_thickness(
                 u, GOLD, geom
@@ -380,7 +380,7 @@ class TestSweepKernel:
         assert [row.gap for row in table.rows] == cfg.gaps()
         for row in table.rows:
             geom = ArcGeometry(radius=R, half_span=Y_MAX, gap=row.gap)
-            energies = {m.key: arc_energy(geom, m).value for m in MANY_MODELS}
+            energies = {m.key: arc_energy(geom, m) for m in MANY_MODELS}
             thickness = {
                 (mat.name, key): critical_thickness(u, mat, geom)
                 for mat in (GOLD, SILVER, FOIL)

@@ -8,7 +8,10 @@ commands that must not warn about materials they do not use. All import the
 arcplate package this suite imported, so none needs an install.
 """
 
+import ast
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import math
@@ -17,12 +20,13 @@ import re
 import subprocess
 import sys
 import tempfile
+import typing
 import warnings
 from datetime import datetime
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arcplate
@@ -41,6 +45,7 @@ from arcplate.cli import (
     EXIT_OK,
     EXIT_PHYSICS,
     EXIT_USAGE,
+    _column_names,
     _render_sweep,
     main,
     material_key,
@@ -404,7 +409,7 @@ class TestSweepOutputContract:
         )
         # gap, u_pfa, u_ntlo, t_max[gold, pfa], t_max[gold, ntlo], delta
         values = [1e-7, -math.inf, math.nan, math.inf, 1e-9, math.nan]
-        csv_text, rows_json = _render_sweep(cfg, [[value] for value in values])
+        csv_text, rows_json = _render_sweep(_column_names(cfg), [[value] for value in values])
         assert csv_text.splitlines()[1] == "1e-07,-inf,nan,1e-09,nan"
         keys = ["gap_m", "u_pfa_J_per_m", "u_ntlo_J_per_m", "t_max_au_pfa_m",
                 "t_max_au_ntlo_m", "delta"]
@@ -736,6 +741,13 @@ def sweep_argvs() -> st.SearchStrategy[list[str]]:
     return flags.map(lambda values: [f"{name}={value}" for name, value in values.items()])
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json.load's object_pairs_hook for an object with no repeated key."""
+    keys = [key for key, _ in pairs]
+    assert len(set(keys)) == len(keys), keys
+    return dict(pairs)
+
+
 def numbers(text: str) -> list[float]:
     """Every token of the text that float() reads, nan and inf included."""
     found = []
@@ -793,7 +805,7 @@ def material_entries() -> st.SearchStrategy[object]:
     field missing, unknown, of the wrong type or any number, or any JSON
     value."""
     fields = {
-        "name": st.sampled_from(["foil", "Foil ", "gold", "Silver"]),
+        "name": st.sampled_from(["foil", "Foil ", "gold", "Silver", "Au"]),
         "youngs_modulus_pa": st.floats(1e8, 1e12),
         "poisson_ratio": st.floats(-0.9, 0.6),
     }
@@ -871,9 +883,10 @@ def materials_argvs() -> st.SearchStrategy[list[str]]:
 
 def sweep_file_argvs() -> st.SearchStrategy[list[str]]:
     """`sweep` argument lists as sweep_argvs draws them, mostly with a
-    material that only a materials file defines."""
-    names = mostly(st.sampled_from(["foil", "gold,Foil"]),
-                   st.lists(st.sampled_from(["gold", "silver", "foil", "b"]), min_size=1,
+    material that only a materials file defines; gold and Au share the
+    column token au."""
+    names = mostly(st.sampled_from(["foil", "gold,Foil", "gold,Au"]),
+                   st.lists(st.sampled_from(["gold", "silver", "foil", "b", "Au"]), min_size=1,
                             max_size=3).map(",".join))
     return st.tuples(sweep_argvs(), names).map(
         lambda parts: ["sweep", *parts[0], f"--materials={parts[1]}"]
@@ -883,7 +896,8 @@ def sweep_file_argvs() -> st.SearchStrategy[list[str]]:
 class TestCommandFuzz:
     """Any argv of any command, with or without a materials file of random
     JSON where the command reads one, exits 0, 2, 3 or 4, without a
-    traceback, and writes only finite numbers on success."""
+    traceback, and on success writes only finite numbers and names each CSV
+    column and sidecar key once."""
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -893,6 +907,10 @@ class TestCommandFuzz:
         materials=mostly(materials_files(), st.none()),
         to_file=st.booleans(),
     )
+    # gold and Au share the column token au: the random draws reach this rarely
+    @example(argv=["sweep", "--points=2", "--materials=gold,Au"],
+             materials='[{"name": "Au", "youngs_modulus_pa": 79e9, "poisson_ratio": 0.4}]',
+             to_file=True)
     def test_exit_codes_and_finite_output(self, argv, materials, to_file):
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "s.csv"
@@ -911,8 +929,13 @@ class TestCommandFuzz:
                 return
             written = [stdout.getvalue().replace(tmp, "")]
             if sweep and to_file:
-                sidecar = json.loads(out.with_name("s.meta.json").read_text())
+                sidecar = json.loads(out.with_name("s.meta.json").read_text(),
+                                     object_pairs_hook=unique_keys)
                 written += [out.read_text(), json.dumps(sidecar)]
+            if sweep:
+                csv_text = out.read_text() if to_file else stdout.getvalue()
+                header = csv_text.split("\n", 1)[0].split(",")
+                assert len(set(header)) == len(header), header
             for text in written:
                 assert all(map(math.isfinite, numbers(text))), text
 
@@ -1038,6 +1061,27 @@ class TestMaterialsFile:
         assert code == EXIT_OK
         assert "t_max_mylar_m" in out.splitlines()[0]
 
+    @pytest.mark.parametrize(
+        "entries,materials,token",
+        [
+            (["Au"], "gold,Au", "au"),
+            (["a-b", "a_b"], "a-b,a_b", "a_b"),
+            (["Ä", "Ö"], "Ä,Ö", "material"),
+        ],
+        ids=["builtin", "punctuation", "non-ascii"],
+    )
+    def test_materials_sharing_a_column_token(self, capsys, tmp_path, entries, materials, token):
+        path = self.write(tmp_path, json.dumps(
+            [{"name": name, "youngs_modulus_pa": 79e9, "poisson_ratio": 0.4} for name in entries]
+        ))
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "sweep", "--points", "2", "--materials", materials,
+                               "--materials-file", path, "--out", str(out))
+        first, second = materials.split(",")
+        assert code == EXIT_USAGE
+        assert f"{first!r} and {second!r} share the column token {token!r}" in err
+        assert not out.exists()
+
     def test_empty_array_keeps_builtins(self, capsys, tmp_path):
         path = self.write(tmp_path, "[]")
         code, out, _ = run_cli(capsys, "materials", "list", "--materials-file", path)
@@ -1134,9 +1178,37 @@ def subprocess_env(bin_dir=None):
 
 
 class TestPackaging:
-    def test_public_names_resolve(self):
+    @pytest.mark.parametrize(
+        "module",
+        ["arcplate", "arcplate.casimir", "arcplate.geometry", "arcplate.analysis",
+         "arcplate.elasticity"],
+    )
+    def test_public_names_resolve(self, module):
+        """Every public name is a plain attribute, made without a module
+        __getattr__, so a star import gets them all."""
+        namespace = vars(importlib.import_module(module))
+        for name in namespace["__all__"]:
+            assert name in namespace, name
+        exec(f"from {module} import *", {})
+
+    def test_public_annotations_resolve(self):
         for name in arcplate.__all__:
-            assert hasattr(arcplate, name), name
+            obj = getattr(arcplate, name)
+            if inspect.isclass(obj):
+                methods = [value for key, value in vars(obj).items()
+                           if inspect.isfunction(value) and (key == "__init__" or key[0] != "_")]
+            else:
+                methods = [obj] if inspect.isfunction(obj) else []
+            for method in methods:
+                typing.get_type_hints(method)
+
+    def test_sources_parse_at_the_python_floor(self):
+        """Every module parses with the grammar of the oldest Python that
+        pyproject.toml admits, which rejects newer syntax such as except*."""
+        floor = re.fullmatch(r">=(\d+)\.(\d+)", load_pyproject()["project"]["requires-python"])
+        version = (int(floor[1]), int(floor[2]))
+        for path in sorted(Path(arcplate.__file__).parent.glob("*.py")):
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
 
     def test_version_matches_pyproject(self):
         assert arcplate.__version__ == load_pyproject()["project"]["version"]
@@ -1184,12 +1256,23 @@ class TestConsoleScript:
         )
         assert result.returncode == 0, result.stderr
 
-    def test_import_adds_no_dataclasses_inspect_or_numpy(self):
-        """Checks the modules that importing arcplate.cli adds, so that a
-        module the site preloads does not count against it."""
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "import arcplate.cli",
+            "from arcplate.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['energy', '--geometry', 'arc', '--gap', '0.1um']) == 0",
+        ],
+        ids=["import", "energy-arc"],
+    )
+    def test_import_adds_no_dataclasses_inspect_or_numpy(self, command):
+        """Checks the modules that importing arcplate.cli, or running a
+        command, adds, so that a module the site preloads does not count
+        against it."""
         script = (
-            "import sys; before = set(sys.modules); import arcplate.cli; "
-            "print(' '.join(sorted(set(sys.modules) - before)))"
+            "import contextlib, io, sys\nbefore = set(sys.modules)\n" + command
+            + "\nprint(' '.join(sorted(set(sys.modules) - before)))"
         )
         result = subprocess.run(
             [sys.executable, "-c", script],
