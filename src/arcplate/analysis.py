@@ -13,7 +13,7 @@ import math
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
-from .casimir import _ARC_COEF, NTLO, PFA, EnergyModel
+from .casimir import NTLO, PFA, EnergyModel, _energies, _in_range
 from .elasticity import Material
 from .errors import (
     ArcPlateError,
@@ -47,34 +47,33 @@ def critical_thickness(u_casimir: float, mat: Material, geom: ArcGeometry) -> fl
     admissible thicknesses, with the same arc length as bending_energy.
     """
     coef = _bending_coefficient(mat, geom.arc_length(), geom.radius)
-    return _thicknesses([u_casimir], [coef])[0]
+    return _thicknesses([[u_casimir]], [coef])[0][0]
 
 
 def _bending_coefficient(mat: Material, arc_length: float, radius: float) -> float:
     """C = E L / (24 (1 - nu^2) R^2), J/m^4: bending energy per cubed
     thickness. It does not depend on the gap."""
-    try:
-        coef = mat.plane_strain_modulus * arc_length / (24.0 * radius**2)
-    except (OverflowError, ZeroDivisionError):  # R**2 overflowed or underflowed to 0
-        coef = 0.0
-    if not 0.0 < coef < math.inf:
-        raise NonFiniteResultError(
-            f"{mat.name}: bending coefficient {coef} J/m^4 at radius {radius} m "
-            "is not a positive double"
-        )
-    return coef
+    return _in_range(  # R**2 can overflow or underflow to 0
+        lambda: mat.plane_strain_modulus * arc_length / (24.0 * radius**2), 1.0,
+        lambda coef: f"{mat.name}: bending coefficient {coef} J/m^4 at radius {radius} m "
+        "is not a positive double",
+    )
 
 
-def _thicknesses(us: list[float], coefs: list[float]) -> list[float]:
-    """(-u / C)^(1/3) for every bending coefficient C and, innermost, every
-    energy u. Each u must be negative and each result positive and finite."""
-    for u in us:
-        if not u < 0.0:
-            raise NonNegativeEnergyError(f"need an attractive (negative) energy, got {u}")
-    ts = [(-u / coef) ** (1.0 / 3.0) for coef in coefs for u in us]
-    if 0.0 in ts or math.inf in ts:  # -u / C underflowed or overflowed
+def _thicknesses(energies: list[list[float]], coefs: list[float]) -> list[list[float]]:
+    """(-u / C)^(1/3), m: one column per bending coefficient C and energy
+    column, coefficients outermost. Every u must be negative and every
+    thickness positive and finite; an error names the first u or row failing."""
+    bad = [u for us in energies for u in us if not u < 0.0]
+    if bad:
+        raise NonNegativeEnergyError(f"need an attractive (negative) energy, got {bad[0]}")
+    # a negative u gives a thickness in [0, inf], never nan
+    thickness = [[(-u / coef) ** (1.0 / 3.0) for u in us] for coef in coefs for us in energies]
+    rows = [ts.index(t) for ts in thickness for t in (0.0, math.inf) if t in ts]
+    if rows:  # -u / C underflowed or overflowed
+        ts = [column[min(rows)] for column in thickness]
         raise NonFiniteResultError(f"critical thicknesses {ts} m leave the range of a double")
-    return ts
+    return thickness
 
 
 def fractional_deviation(t_a: float, t_b: float) -> float:
@@ -82,6 +81,20 @@ def fractional_deviation(t_a: float, t_b: float) -> float:
     if t_b <= 0.0:
         raise ZeroReferenceError(f"reference thickness must be positive, got {t_b}")
     return abs(t_a - t_b) / t_b
+
+
+def _check_grid(gap_min: float, gap_max: float, points: int) -> None:
+    """The gap grid's checks, for SweepConfig and for the sweep command,
+    which runs them before it builds any material."""
+    if not 1 <= points <= MAX_POINTS:
+        raise ValueError(f"points must lie in [1, {MAX_POINTS:,}], got {points}")
+    for gap in (gap_min, gap_max):
+        if not gap > 0.0:
+            raise NonPositiveGapError(f"gap must be positive, got {gap}")
+    if not gap_min <= gap_max:
+        raise ValueError("gap-min exceeds gap-max")
+    if not math.isfinite(gap_max):  # run_sweep relies on a finite grid
+        raise ValueError(f"gap_max must be finite, got {gap_max}")
 
 
 class SweepConfig(Frozen):
@@ -101,16 +114,7 @@ class SweepConfig(Frozen):
                  comparison: tuple[EnergyModel, EnergyModel] | None = None) -> None:
         self._set((gap_min, gap_max, points, radius, half_span, tuple(materials),
                    tuple(models), comparison))
-        if not self.gap_min > 0.0:
-            raise NonPositiveGapError(f"gap must be positive, got {self.gap_min}")
-        if not self.gap_min <= self.gap_max:
-            raise ValueError(f"need 0 < gap_min <= gap_max, got [{self.gap_min}, {self.gap_max}]")
-        if not math.isfinite(self.gap_max):  # run_sweep relies on a finite grid
-            raise ValueError(f"gap_max must be finite, got {self.gap_max}")
-        if not (1 <= self.points <= MAX_POINTS):
-            raise ValueError(
-                f"points must lie in [1, {MAX_POINTS}], got {self.points}"
-            )
+        _check_grid(self.gap_min, self.gap_max, self.points)
         if not self.materials:
             raise ValueError("at least one material required")
         if not self.models:
@@ -205,37 +209,29 @@ def _sweep_columns(
     contact, a non-positive gap and the radius and span checks can fail only
     there; _integrals checks gap/radius at every gap.
 
-    Each column is checked whole, by min and max. Only when a check fails
-    are the gaps evaluated one by one, so that the error raised is the one a
-    row-by-row sweep meets first.
+    Energies and thicknesses come from casimir._energies and _thicknesses,
+    which check whole columns. Only when a check fails are the gaps evaluated
+    one by one, through the same two functions on one-gap columns, so that
+    the error raised is the one a row-by-row sweep meets first.
     """
     gaps = config.gaps()
     geom = ArcGeometry(radius=config.radius, half_span=config.half_span, gap=gaps[0])
     arc_length = geom.arc_length()
-    weights = [model.gradient_weight * (2.0 / 3.0) for model in config.models]
     coefs = [_bending_coefficient(mat, arc_length, config.radius) for mat in config.materials]
     try:
-        integrals = list(map(geom._integrals, gaps))
+        energies = _energies(list(map(geom._integrals, gaps)), config.models)
+        thickness = _thicknesses(energies, coefs)
     except ArcPlateError:
-        integrals = None
-    if integrals is not None:
-        energies = [[-_ARC_COEF * (i0 + w * i1) for i0, i1 in integrals] for w in weights]
-        # integrals() leaves I0 and I1 finite, so no energy is nan, and a
-        # negative finite energy gives a thickness in [0, inf], never nan
-        if max(map(max, energies)) < 0.0:
-            thickness = [[(-u / coef) ** (1.0 / 3.0) for u in us]
-                         for coef in coefs for us in energies]
-            if 0.0 < min(map(min, thickness)) and max(map(max, thickness)) < math.inf:
-                delta = None
-                pair = config.resolved_comparison()
-                if pair is not None:  # first material: its cells lead
-                    a, b = (thickness[config.models.index(model)] for model in pair)
-                    delta = [abs(t_a - t_b) / t_b for t_a, t_b in zip(a, b)]
-                return gaps, energies, thickness, delta, arc_length
-    # A check failed. Evaluate gap by gap, in grid order and with one gap's
-    # checks in order (integrals, energies, thicknesses): the first failing
-    # gap raises its error.
-    for gap in gaps:
-        i0, i1 = geom._integrals(gap)
-        _thicknesses([-_ARC_COEF * (i0 + w * i1) for w in weights], coefs)
-    raise AssertionError("a sweep column failed its check but no gap does")
+        thickness = None
+    if thickness is None:
+        # gap by gap, in grid order, each gap's checks in order (integrals,
+        # energies, thicknesses): the first failing gap raises its error
+        for gap in gaps:
+            _thicknesses(_energies([geom._integrals(gap)], config.models), coefs)
+        raise AssertionError("a sweep column failed its check but no gap does")
+    delta = None
+    pair = config.resolved_comparison()
+    if pair is not None:  # first material: its cells lead
+        a, b = (thickness[config.models.index(model)] for model in pair)
+        delta = [abs(t_a - t_b) / t_b for t_a, t_b in zip(a, b)]
+    return gaps, energies, thickness, delta, arc_length

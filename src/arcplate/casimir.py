@@ -10,13 +10,15 @@ Kardar, EPL 97, 50001 (2012)),
 
 with kappa = 0 (leading order), 1 (gradient-corrected), or a scale factor in
 between. For a circular arc the integral is elementary; arc_energy evaluates
-it exactly. All functions are pure and thread-safe.
+it exactly through _energies, which forms every energy of a sweep too; the
+closed forms stay within a double's range through _in_range. All functions
+are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import NonFiniteResultError, NonPositiveGapError, PfaViolationError
 from .geometry import ArcGeometry, Frozen
@@ -75,20 +77,23 @@ NTLO = EnergyModel("ntlo", "ntlo", 1.0)
 
 
 def scaled_ntlo(epsilon: float) -> EnergyModel:
-    """Gradient correction scaled by epsilon in [0, 1]."""
-    return EnergyModel(f"scaled-ntlo({epsilon:g})", f"scaled_ntlo_{epsilon:g}", float(epsilon))
+    """Gradient correction scaled by epsilon in [0, 1], named by epsilon's %g
+    text, or by its repr where that text reads back as another float."""
+    weight = float(epsilon)
+    name = f"{weight:g}" if float(f"{weight:g}") == weight else repr(weight)
+    return EnergyModel(f"scaled-ntlo({name})", f"scaled_ntlo_{name}", weight)
 
 
-def _closed_form(formula: Callable[[], float], where: str) -> float:
-    """formula(), a negative power law in the separation. A power of the
-    separation can overflow, or underflow to zero, and so can the result;
-    each raises NonFiniteResultError instead of returning inf or -0.0."""
+def _in_range(formula: Callable[[], float], sign: float, error: Callable[[float], str]) -> float:
+    """formula(), a product of powers, when it is a nonzero finite double of
+    the given sign (1.0 or -1.0). A power can overflow, or underflow to zero,
+    and so can the result: each raises NonFiniteResultError(error(value))."""
     try:
         value = formula()
     except (OverflowError, ZeroDivisionError):
         value = 0.0
-    if not -math.inf < value < 0.0:
-        raise NonFiniteResultError(f"{where} out of double range")
+    if not 0.0 < sign * value < math.inf:
+        raise NonFiniteResultError(error(value))
     return value
 
 
@@ -99,7 +104,8 @@ def parallel_plate_pressure(d: float) -> float:
     """
     if d <= 0.0:
         raise NonPositiveGapError(f"plate separation must be positive, got {d}")
-    return _closed_form(lambda: -_PLATE_PRESSURE_COEF / d**4, f"plate pressure at {d} m")
+    return _in_range(lambda: -_PLATE_PRESSURE_COEF / d**4, -1.0,
+                     lambda _: f"plate pressure at {d} m out of double range")
 
 
 def parallel_plate_energy_density(d: float) -> float:
@@ -111,7 +117,8 @@ def parallel_plate_energy_density(d: float) -> float:
     """
     if d <= 0.0:
         raise NonPositiveGapError(f"plate separation must be positive, got {d}")
-    return _closed_form(lambda: -_PLATE_DENSITY_COEF / d**3, f"plate energy at {d} m")
+    return _in_range(lambda: -_PLATE_DENSITY_COEF / d**3, -1.0,
+                     lambda _: f"plate energy at {d} m out of double range")
 
 
 def _check_sphere_args(R: float, d: float) -> None:
@@ -128,9 +135,9 @@ def _check_sphere_args(R: float, d: float) -> None:
 def sphere_plate_force(R: float, d: float) -> float:
     """Sphere-plate attraction, N: -pi^3 hbar c R / (360 d^3)."""
     _check_sphere_args(R, d)
-    return _closed_form(
-        lambda: -_SPHERE_FORCE_COEF * R / d**3,
-        f"sphere-plate force at radius {R} m, gap {d} m",
+    return _in_range(
+        lambda: -_SPHERE_FORCE_COEF * R / d**3, -1.0,
+        lambda _: f"sphere-plate force at radius {R} m, gap {d} m out of double range",
     )
 
 
@@ -141,9 +148,9 @@ def sphere_plate_energy(R: float, d: float) -> float:
     exactly linear in R.
     """
     _check_sphere_args(R, d)
-    return _closed_form(
-        lambda: -_SPHERE_ENERGY_COEF * R / (d * d),
-        f"sphere-plate energy at radius {R} m, gap {d} m",
+    return _in_range(
+        lambda: -_SPHERE_ENERGY_COEF * R / (d * d), -1.0,
+        lambda _: f"sphere-plate energy at radius {R} m, gap {d} m out of double range",
     )
 
 
@@ -157,6 +164,12 @@ def arc_energy(geom: ArcGeometry, model: EnergyModel) -> float:
     of validate_pfa(), and NonFiniteResultError when the integrals leave the
     range of a double; contact is already excluded by the geometry.
     """
-    i0, i1 = geom._integrals(geom.gap)
-    weight = model.gradient_weight * (2.0 / 3.0)
-    return -_ARC_COEF * (i0 + weight * i1)
+    return _energies([geom._integrals(geom.gap)], [model])[0][0]
+
+
+def _energies(integrals: list[tuple[float, float]],
+              models: Sequence[EnergyModel]) -> list[list[float]]:
+    """-pi^2 hbar c / 1440 (I0 + kappa*(2/3)*I1), J/m: one column per model,
+    over every (I0, I1) pair."""
+    return [[-_ARC_COEF * (i0 + weight * i1) for i0, i1 in integrals]
+            for weight in [model.gradient_weight * (2.0 / 3.0) for model in models]]

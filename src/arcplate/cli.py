@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
-from .analysis import MAX_POINTS, SweepConfig, _sweep_columns
+from .analysis import MAX_POINTS, SweepConfig, _check_grid, _sweep_columns
 from .casimir import (
     _C,
     _HBAR,
@@ -38,7 +38,7 @@ from .casimir import (
     sphere_plate_force,
 )
 from .elasticity import _BUILTINS, Material, _build_material, _range_error, thin_plate_check
-from .errors import ArcPlateError, MaterialConfigError, MaterialNotFoundError, NonPositiveGapError
+from .errors import ArcPlateError, MaterialConfigError, MaterialNotFoundError
 from .geometry import ArcGeometry
 
 SCHEMA_VERSION = "2"
@@ -297,13 +297,7 @@ def _material_dict(mat: Material) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
-    if not 1 <= args.points <= MAX_POINTS:
-        raise ValueError(f"points must lie in [1, {MAX_POINTS:,}], got {args.points}")
-    for gap in (args.gap_min, args.gap_max):  # before building a material, which can warn
-        if not gap > 0.0:
-            raise NonPositiveGapError(f"gap must be positive, got {gap}")
-    if args.gap_min > args.gap_max:
-        raise ValueError("gap-min exceeds gap-max")
+    _check_grid(args.gap_min, args.gap_max, args.points)  # before a material can warn
     table = material_table(args.materials_file)
     materials = tuple(_build_material(table, name) for name in args.materials.split(","))
     config = SweepConfig(
@@ -361,53 +355,42 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     return EXIT_OK
 
 
-_QUANTITIES = {
-    "arc": ("energy",),
-    "parallel": ("pressure", "energy-density"),
-    "sphere": ("energy", "force"),
+# geometry -> quantity -> (row key, value at the parsed arguments); the first
+# quantity of each geometry is its default
+_ENERGY = {
+    "arc": {"energy": ("value_J_per_m", lambda a: arc_energy(
+        ArcGeometry(radius=a.r, half_span=a.span / 2.0, gap=a.gap), a.model))},
+    "parallel": {
+        "pressure": ("value_Pa", lambda a: parallel_plate_pressure(a.gap)),
+        "energy-density": ("value_J_per_m2", lambda a: parallel_plate_energy_density(a.gap)),
+    },
+    "sphere": {
+        "energy": ("value_J", lambda a: sphere_plate_energy(a.r, a.gap)),
+        "force": ("value_N", lambda a: sphere_plate_force(a.r, a.gap)),
+    },
 }
 
 
 def cmd_energy(args: argparse.Namespace, argv: list[str]) -> int:
-    quantity = args.quantity or _QUANTITIES[args.geometry][0]
-    if quantity not in _QUANTITIES[args.geometry]:
+    quantities = _ENERGY[args.geometry]
+    quantity = args.quantity or next(iter(quantities))
+    if quantity not in quantities:
         raise ValueError(
             f"--quantity {quantity} not available for geometry {args.geometry}; "
-            f"choose from {', '.join(_QUANTITIES[args.geometry])}"
+            f"choose from {', '.join(quantities)}"
         )
-    if args.geometry == "arc":
-        geom = ArcGeometry(radius=args.r, half_span=args.span / 2.0, gap=args.gap)
-        rows = [{"kind": "arc", "model": args.model.label,
-                 "value_J_per_m": arc_energy(geom, args.model)}]
-        geometry = {
-            "radius_m": geom.radius,
-            "half_span_m": geom.half_span,
-            "gap_m": geom.gap,
-        }
-    elif args.geometry == "parallel":
-        if quantity == "pressure":
-            rows = [{"kind": "parallel", "value_Pa": parallel_plate_pressure(args.gap)}]
-        else:
-            rows = [
-                {
-                    "kind": "parallel",
-                    "value_J_per_m2": parallel_plate_energy_density(args.gap),
-                }
-            ]
-        geometry = {"gap_m": args.gap}
-    else:
-        if quantity == "energy":
-            rows = [{"kind": "sphere", "value_J": sphere_plate_energy(args.r, args.gap)}]
-        else:
-            rows = [{"kind": "sphere", "value_N": sphere_plate_force(args.r, args.gap)}]
-        geometry = {"radius_m": args.r, "gap_m": args.gap}
-    rows[0]["quantity"] = quantity
-    record = make_record(argv, rows, geometry)
+    key, value = quantities[quantity]
+    row = {"kind": args.geometry, "model": args.model.label, key: value(args), "quantity": quantity}
+    if args.geometry != "arc":  # only the arc energy has a model
+        del row["model"]
+    geometry = {"arc": {"radius_m": args.r, "half_span_m": args.span / 2.0}, "parallel": {},
+                "sphere": {"radius_m": args.r}}[args.geometry] | {"gap_m": args.gap}
+    record = make_record(argv, [row], geometry)
     print(json.dumps(record, indent=2))
     return EXIT_OK
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace, argv: list[str]) -> int:
     # geometry construction itself raises on contact or gap/radius >= 1;
     # main() maps those to exit 3 with the violated condition in the message
     geom = ArcGeometry(radius=args.r, half_span=args.span / 2.0, gap=args.gap)
@@ -511,17 +494,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     energy = sub.add_parser("energy", help="single energy evaluation, JSON to stdout")
-    energy.add_argument(
-        "--geometry", choices=["arc", "parallel", "sphere"], required=True
-    )
+    energy.add_argument("--geometry", choices=list(_ENERGY), required=True)
     add_geometry(energy)
     energy.add_argument("--gap", type=parse_length, required=True, metavar="LEN")
     energy.add_argument("--model", type=parse_model, default=NTLO)
     energy.add_argument(
         "--quantity",
-        choices=["energy", "pressure", "energy-density", "force"],
+        choices=list(dict.fromkeys(q for quantities in _ENERGY.values() for q in quantities)),
         default=None,
-        help="arc: energy; parallel: pressure|energy-density; sphere: energy|force",
+        help="; ".join(f"{g}: {'|'.join(quantities)}" for g, quantities in _ENERGY.items()),
     )
 
     validate = sub.add_parser(
@@ -541,6 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     materials = sub.add_parser("materials", help="list or show materials")
+    for command, run in ((sweep, cmd_sweep), (energy, cmd_energy), (validate, cmd_validate),
+                         (materials, cmd_materials)):
+        command.set_defaults(run=run)
     msub = materials.add_subparsers(dest="materials_command", required=True)
     mlist = msub.add_parser("list", help="table of available materials")
     mlist.add_argument("--materials-file", default=None)
@@ -565,15 +549,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with warnings.catch_warnings():  # the caller's filters still apply
             warnings.showwarning = showwarning
-            if args.command == "sweep":
-                return cmd_sweep(args, argv)
-            if args.command == "energy":
-                return cmd_energy(args, argv)
-            if args.command == "validate":
-                return cmd_validate(args)
-            if args.command == "materials":
-                return cmd_materials(args, argv)
-            raise AssertionError(f"unhandled command {args.command}")
+            return args.run(args, argv)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

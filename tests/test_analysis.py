@@ -85,6 +85,17 @@ class TestCriticalThickness:
         with pytest.raises(NonNegativeEnergyError):
             critical_thickness(bad, GOLD, GEOM)
 
+    @pytest.mark.parametrize("bad", [0.0, math.nan])
+    def test_nonnegative_energy_message(self, bad):
+        with pytest.raises(NonNegativeEnergyError) as info:
+            critical_thickness(bad, GOLD, GEOM)
+        assert str(info.value) == f"need an attractive (negative) energy, got {bad}"
+
+    def test_overflowing_thickness_message(self):
+        with pytest.raises(NonFiniteResultError) as info:
+            critical_thickness(-1.0, Material("x", youngs_modulus=1e-313, poisson_ratio=0.3), GEOM)
+        assert str(info.value) == "critical thicknesses [inf] m leave the range of a double"
+
     @pytest.mark.parametrize(
         "u,mat,geom",
         [
@@ -190,6 +201,18 @@ class TestSweepConfig:
     def test_rejected(self, overrides):
         with pytest.raises(ValueError):
             config(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            (dict(points=0), "points must lie in [1, 1,000,000], got 0"),
+            (dict(gap_min=1e-6, gap_max=0.1e-6), "gap-min exceeds gap-max"),
+        ],
+    )
+    def test_grid_messages_are_the_command_line_ones(self, overrides, message):
+        with pytest.raises(ValueError) as info:
+            config(**overrides)
+        assert str(info.value) == message
 
     def test_comparison_defaults(self):
         assert config().resolved_comparison() == (PFA, NTLO)

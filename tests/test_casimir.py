@@ -179,6 +179,18 @@ class TestEnergyModel:
         assert m.key == "scaled_ntlo_0.1"
         assert scaled_ntlo(0.25).key == "scaled_ntlo_0.25"
 
+    @pytest.mark.parametrize("epsilon,name", [(0, "0"), (0.0, "0"), (0.1, "0.1"),
+                                              (0.25, "0.25"), (0.5, "0.5"), (1, "1")])
+    def test_scaled_names_in_use(self, epsilon, name):
+        m = scaled_ntlo(epsilon)
+        assert (m.label, m.key) == (f"scaled-ntlo({name})", f"scaled_ntlo_{name}")
+
+    def test_scaled_names_tell_close_weights_apart(self):
+        # 0.30000001 prints as 0.3 with six significant digits
+        m = scaled_ntlo(0.30000001)
+        assert (m.label, m.key) == ("scaled-ntlo(0.30000001)", "scaled_ntlo_0.30000001")
+        assert scaled_ntlo(0.3).key != m.key
+
     def test_scaled_boundaries_allowed(self):
         assert scaled_ntlo(0.0).gradient_weight == 0.0
         assert scaled_ntlo(1.0).gradient_weight == 1.0

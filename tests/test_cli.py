@@ -284,6 +284,15 @@ class TestSweep:
             values = row.split(",")
             assert values[pfa] == values[scaled]
 
+    def test_close_scaled_models_are_two_columns(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--points", "2", "--models",
+                               "scaled-ntlo:0.3,scaled-ntlo:0.30000001", "--materials", "gold")
+        assert code == EXIT_OK
+        header, *rows = out.splitlines()
+        columns = header.split(",")
+        assert columns[1:3] == ["u_scaled_ntlo_0.3_J_per_m", "u_scaled_ntlo_0.30000001_J_per_m"]
+        assert all(row.split(",")[1] != row.split(",")[2] for row in rows)
+
     def test_gap_order_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "sweep", "--gap-min", "1um", "--gap-max", "0.1um"
@@ -555,6 +564,19 @@ class TestEnergy:
         assert row["model"] == "scaled-ntlo(0.1)"
         assert row["value_J_per_m"] == pytest.approx(-2.5517788798678456e-12, rel=1e-9)
 
+    def test_arc_model_label_keeps_every_digit(self, capsys):
+        code, out, _ = run_cli(capsys, "energy", "--geometry", "arc", "--gap", "0.1um",
+                               "--model", "scaled-ntlo:0.30000001")
+        assert code == EXIT_OK
+        assert self.parse(out)["rows"][0]["model"] == "scaled-ntlo(0.30000001)"
+
+    def test_quantity_choices_and_help(self, capsys):
+        code, out, _ = run_cli(capsys, "energy", "--help")
+        assert code == EXIT_OK
+        assert "[--quantity {energy,pressure,energy-density,force}]" in out
+        assert ("--quantity {energy,pressure,energy-density,force} arc: energy; parallel: "
+                "pressure|energy-density; sphere: energy|force") in " ".join(out.split())
+
     def test_parallel_pressure(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -720,7 +742,7 @@ def sweep_argvs() -> st.SearchStrategy[list[str]]:
     lists, mostly valid."""
     def tokens(valid: list[str], invalid: list[str]) -> st.SearchStrategy[str]:
         return st.integers(0, 2).flatmap(
-            lambda k: st.lists(st.sampled_from(valid + invalid if k == 0 else valid),
+            lambda k: st.lists(st.sampled_from(valid + invalid if k == 2 else valid),
                                min_size=1, max_size=3)
         ).map(",".join)
 
@@ -734,7 +756,7 @@ def sweep_argvs() -> st.SearchStrategy[list[str]]:
         "--materials": tokens(["gold", "silver"], ["GOLD", "copper", ""]),
     }
     points = st.integers(0, 9).flatmap(
-        lambda k: st.sampled_from(["0", "x", "-1"]) if k == 0 else st.integers(1, 5).map(str)
+        lambda k: st.sampled_from(["0", "x", "-1"]) if k == 9 else st.integers(1, 5).map(str)
     )
     # --points is always given, so the default grid of 1000 gaps is never run
     flags = st.fixed_dictionaries({"--points": points}, optional=options)
@@ -796,8 +818,9 @@ def json_values() -> st.SearchStrategy[object]:
 
 
 def mostly(usual: st.SearchStrategy, rare: st.SearchStrategy) -> st.SearchStrategy:
-    """usual three times in four, else rare."""
-    return st.integers(0, 3).flatmap(lambda k: usual if k else rare)
+    """usual three times in four, else rare. Hypothesis draws the low end of
+    a range most often, so usual sits there."""
+    return st.integers(0, 3).flatmap(lambda k: rare if k == 3 else usual)
 
 
 def material_entries() -> st.SearchStrategy[object]:
@@ -881,16 +904,35 @@ def materials_argvs() -> st.SearchStrategy[list[str]]:
                      names.map(lambda name: ["materials", "show", name]))
 
 
-def sweep_file_argvs() -> st.SearchStrategy[list[str]]:
-    """`sweep` argument lists as sweep_argvs draws them, mostly with a
-    material that only a materials file defines; gold and Au share the
-    column token au."""
-    names = mostly(st.sampled_from(["foil", "gold,Foil", "gold,Au"]),
-                   st.lists(st.sampled_from(["gold", "silver", "foil", "b", "Au"]), min_size=1,
-                            max_size=3).map(",".join))
-    return st.tuples(sweep_argvs(), names).map(
-        lambda parts: ["sweep", *parts[0], f"--materials={parts[1]}"]
-    )
+def file_names(text: str) -> list[str]:
+    """The names a materials-file text gives its entries, one spelling per
+    case-insensitive name, or none when the text is not a JSON array."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        return []
+    entries = doc if isinstance(doc, list) else []
+    names = [entry.get("name") for entry in entries if isinstance(entry, dict)]
+    return list({name.strip().lower(): name for name in names
+                 if isinstance(name, str) and name.strip()}.values())
+
+
+def sweep_file_cases() -> st.SearchStrategy[tuple[list[str], str | None]]:
+    """(`sweep` argument list, materials-file text or None): the arguments as
+    sweep_argvs draws them, and mostly materials that the drawn file defines
+    (the builtins without a file), else any of a few names, some of which no
+    file defines; gold and Au share the column token au."""
+    def cases(text: str | None) -> st.SearchStrategy[tuple[list[str], str | None]]:
+        defined = file_names(text) if text is not None else ["gold", "silver"]
+        names = mostly(st.lists(st.sampled_from(defined or ["foil"]), min_size=1, max_size=3,
+                                unique=True).map(",".join),
+                       st.lists(st.sampled_from(["gold", "silver", "foil", "b", "Au"]),
+                                min_size=1, max_size=3).map(",".join))
+        return st.tuples(sweep_argvs(), names).map(
+            lambda parts: (["sweep", *parts[0], f"--materials={parts[1]}"], text)
+        )
+
+    return mostly(materials_files(), st.none()).flatmap(cases)
 
 
 class TestCommandFuzz:
@@ -901,17 +943,19 @@ class TestCommandFuzz:
 
     @settings(max_examples=500, deadline=None)
     @given(
-        # sweep twice: fewest of its draws reach exit 0
-        argv=st.one_of(energy_argvs(), validate_argvs(), materials_argvs(), sweep_file_argvs(),
-                       sweep_file_argvs()),
-        materials=mostly(materials_files(), st.none()),
+        # (argv, materials-file text or None); sweep twice: fewest of its
+        # draws reach exit 0
+        case=st.one_of(*(st.tuples(argvs, mostly(materials_files(), st.none()))
+                         for argvs in (energy_argvs(), validate_argvs(), materials_argvs())),
+                       sweep_file_cases(), sweep_file_cases()),
         to_file=st.booleans(),
     )
     # gold and Au share the column token au: the random draws reach this rarely
-    @example(argv=["sweep", "--points=2", "--materials=gold,Au"],
-             materials='[{"name": "Au", "youngs_modulus_pa": 79e9, "poisson_ratio": 0.4}]',
+    @example(case=(["sweep", "--points=2", "--materials=gold,Au"],
+                   '[{"name": "Au", "youngs_modulus_pa": 79e9, "poisson_ratio": 0.4}]'),
              to_file=True)
-    def test_exit_codes_and_finite_output(self, argv, materials, to_file):
+    def test_exit_codes_and_finite_output(self, case, to_file):
+        argv, materials = case
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "s.csv"
             sweep = argv[0] == "sweep"
