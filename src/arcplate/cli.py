@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import shlex
 import sys
@@ -229,19 +230,27 @@ def _column_names(config: SweepConfig) -> list[tuple[str, str | None]]:
 
 def _render_sweep(
     names: list[tuple[str, str | None]], columns: list[list[float]]
-) -> tuple[str, str]:
-    """The CSV text and the sidecar's "rows" array as JSON text of a sweep's
-    columns, named and ordered as _column_names gives.
+) -> tuple[str, list[list[str]]]:
+    """The CSV text of a sweep's columns, named and ordered as _column_names
+    gives, and the repr of each value, column by column, for _rows_json.
 
     Each value is formatted once, by repr (which round-trips bit-exactly and
     is also how json writes a finite float), and the same string goes to the
-    CSV cell and to the sidecar row. The rows array is laid out as
-    json.dumps(..., indent=2) lays it out as the value of a top-level key.
+    CSV cell and to the sidecar row.
     """
     texts = [list(map(repr, column)) for column in columns]
     csv_texts = [text for text, (_, header) in zip(texts, names) if header is not None]
     csv_lines = [",".join(header for _, header in names if header is not None)]
     csv_lines += map(",".join, zip(*csv_texts))
+    return "\n".join(csv_lines) + "\n", texts
+
+
+def _rows_json(
+    names: list[tuple[str, str | None]], columns: list[list[float]], texts: list[list[str]]
+) -> str:
+    """The sidecar's "rows" array as JSON text, from the columns and the
+    reprs _render_sweep made of them, laid out as json.dumps(..., indent=2)
+    lays it out as the value of a top-level key."""
     # json writes NaN and Infinity where repr writes nan and inf. The sum is
     # non-finite whenever a value is; on a finite overflow json.dumps simply
     # repeats repr.
@@ -250,8 +259,7 @@ def _render_sweep(
         for text, column in zip(texts, columns)
     ]
     row = "{\n      " + ",\n      ".join(json.dumps(key) + ": %s" for key, _ in names) + "\n    }"
-    rows_json = "[\n    " + ",\n    ".join(map(row.__mod__, zip(*texts))) + "\n  ]"
-    return "\n".join(csv_lines) + "\n", rows_json
+    return "[\n    " + ",\n    ".join(map(row.__mod__, zip(*texts))) + "\n  ]"
 
 
 def make_record(
@@ -296,6 +304,34 @@ def _material_dict(mat: Material) -> dict:
     return {field: value for field, value in values.items() if value is not None}
 
 
+def _write_all(files: list[tuple[Path, str]]) -> None:
+    """Write each (path, text) as UTF-8, all or none.
+
+    Each text first goes to a temporary file beside its path, named with
+    this process's id. Once all are written they replace their paths, the
+    last first, so the first path appears only after the others are in
+    place. On any error the temporaries, and any path already replaced,
+    are removed, and an OSError names the path given, not the temporary.
+    """
+    temps: list[Path] = []
+    placed: list[Path] = []
+    try:
+        for path, text in files:
+            temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+            with open(temp, "w", encoding="utf-8") as f:
+                temps.append(temp)
+                f.write(text)
+        for (path, _), temp in reversed(list(zip(files, temps))):
+            os.replace(temp, path)
+            placed.append(path)
+    except BaseException as exc:
+        for name in temps + placed:
+            name.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
+
+
 def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     _check_grid(args.gap_min, args.gap_max, args.points)  # before a material can warn
     table = material_table(args.materials_file)
@@ -312,16 +348,15 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     names = _column_names(config)  # before any work: a token collision exits 2
     gaps, energies, thickness, delta, arc_length = _sweep_columns(config)
     columns = [gaps, *energies, *thickness, *([] if delta is None else [delta])]
-    text, rows_json = _render_sweep(names, columns)
+    text, texts = _render_sweep(names, columns)
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
         return EXIT_OK
     out = Path(args.out)
-    out.write_text(text, encoding="utf-8")
     sidecar = out.with_name(out.stem + ".meta.json")
     record = make_record(
         argv,
-        [],  # laid out by _render_sweep; _record_json puts rows_json here
+        [],  # laid out by _rows_json; _record_json puts its text here
         geometry={
             "radius_m": config.radius,
             "half_span_m": config.half_span,
@@ -336,7 +371,7 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
             "csv_file": out.name,
         },
     )
-    sidecar.write_text(_record_json(record, rows_json), encoding="utf-8")
+    _write_all([(out, text), (sidecar, _record_json(record, _rows_json(names, columns, texts)))])
 
     ref = config.reference_model()
     ref_columns = thickness[config.models.index(ref)::len(config.models)]  # one per material

@@ -1,7 +1,8 @@
 """Command-line interface: parsing, outputs, exit codes, determinism.
 
 Everything runs in-process through main(argv) except the subprocess checks:
-`python -m arcplate`, the `arcplate` console script declared in
+`python -m arcplate` (whose output, files and exit code must match
+main()'s), the `arcplate` console script declared in
 pyproject.toml, launched by name through the same launcher pip writes on
 install, the import of arcplate.cli without numpy, and the stderr of
 commands that must not warn about materials they do not use. All import the
@@ -10,6 +11,7 @@ arcplate package this suite imported, so none needs an install.
 
 import ast
 import contextlib
+import gc
 import importlib
 import inspect
 import io
@@ -47,6 +49,7 @@ from arcplate.cli import (
     EXIT_USAGE,
     _column_names,
     _render_sweep,
+    _rows_json,
     main,
     material_key,
     parse_length,
@@ -418,7 +421,9 @@ class TestSweepOutputContract:
         )
         # gap, u_pfa, u_ntlo, t_max[gold, pfa], t_max[gold, ntlo], delta
         values = [1e-7, -math.inf, math.nan, math.inf, 1e-9, math.nan]
-        csv_text, rows_json = _render_sweep(_column_names(cfg), [[value] for value in values])
+        names, columns = _column_names(cfg), [[value] for value in values]
+        csv_text, texts = _render_sweep(names, columns)
+        rows_json = _rows_json(names, columns, texts)
         assert csv_text.splitlines()[1] == "1e-07,-inf,nan,1e-09,nan"
         keys = ["gap_m", "u_pfa_J_per_m", "u_ntlo_J_per_m", "t_max_au_pfa_m",
                 "t_max_au_ntlo_m", "delta"]
@@ -449,6 +454,76 @@ class TestSweepColumns:
             radius=1e-4, half_span=3e-6, materials=(material_by_name("gold"),), models=(PFA,),
         )
         assert calls == cfg.gaps()
+
+    def test_stdout_sweep_formats_no_sidecar_rows(self, monkeypatch, capsys):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a stdout sweep formatted sidecar rows")
+
+        monkeypatch.setattr(arcplate.cli, "_rows_json", no_rows)
+        code, out, _ = run_cli(capsys, "sweep", "--points", "3")
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == EXPECTED_HEADER
+
+
+class TestSweepFiles:
+    """--out writes the CSV and its sidecar all or none."""
+
+    ARGV = ("sweep", "--points", "3", "--materials", "gold")
+
+    def sweep(self, capsys, tmp_path):
+        return run_cli(capsys, *self.ARGV, "--out", str(tmp_path / "out.csv"))
+
+    def test_sidecar_directory_leaves_no_csv(self, capsys, tmp_path):
+        (tmp_path / "out.meta.json").mkdir()
+        code, out, err = self.sweep(capsys, tmp_path)
+        assert code == EXIT_CONFIG
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path / 'out.meta.json'}'\n"
+        assert out == ""
+        assert os.listdir(tmp_path) == ["out.meta.json"]
+
+    def test_csv_directory_leaves_no_sidecar(self, capsys, tmp_path):
+        (tmp_path / "out.csv").mkdir()
+        code, _, err = self.sweep(capsys, tmp_path)
+        assert code == EXIT_CONFIG
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path / 'out.csv'}'\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize(
+        "step, name",
+        [("write", "out.csv."), ("write", "out.meta.json."), ("replace", "out.meta.json")],
+        ids=["csv-write", "sidecar-write", "sidecar-replace"],
+    )
+    def test_failed_rerun_keeps_the_earlier_pair(self, capsys, monkeypatch, tmp_path, step, name):
+        assert self.sweep(capsys, tmp_path)[0] == EXIT_OK
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert sorted(before) == ["out.csv", "out.meta.json"]
+
+        def fail_on(call, target):
+            def wrapped(*args, **kwargs):
+                if Path(target(args)).name.startswith(name):
+                    raise OSError(28, "No space left on device")
+                return call(*args, **kwargs)
+            return wrapped
+
+        if step == "write":  # a temporary file; cli resolves open as a global first
+            monkeypatch.setattr(arcplate.cli, "open", fail_on(open, lambda a: a[0]), raising=False)
+        else:  # the destination
+            monkeypatch.setattr(os, "replace", fail_on(os.replace, lambda a: a[1]))
+        code, out, err = run_cli(capsys, "sweep", "--points", "4", "--out", str(tmp_path / "out.csv"))
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: [Errno 28] No space left on device: ")
+        assert out == ""
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_good_run_writes_the_stdout_bytes(self, capsys, tmp_path):
+        _, stdout_csv, _ = run_cli(capsys, *self.ARGV)
+        for _ in range(2):  # the second run replaces the first's pair
+            code, _, _ = self.sweep(capsys, tmp_path)
+            assert code == EXIT_OK
+            assert sorted(os.listdir(tmp_path)) == ["out.csv", "out.meta.json"]
+            assert (tmp_path / "out.csv").read_bytes() == stdout_csv.encode()
+            sidecar = (tmp_path / "out.meta.json").read_text()
+            assert len(json.loads(sidecar)["rows"]) == 3
 
 
 class TestMaterialWarnings:
@@ -1263,6 +1338,7 @@ class TestConsoleScript:
         """The `arcplate` entry in pyproject's [project.scripts], written as
         the launcher pip installs, runs `arcplate sweep` as a shell command."""
         module, func = load_pyproject()["project"]["scripts"]["arcplate"].split(":")
+        assert (module, func) == ("arcplate.__main__", "run")
         launcher = tmp_path / "arcplate"
         launcher.write_text(
             LAUNCHER_TEMPLATE.format(executable=sys.executable, module=module, func=func)
@@ -1329,3 +1405,70 @@ class TestConsoleScript:
         added = set(result.stdout.split())
         assert "arcplate.cli" in added
         assert not added & {"dataclasses", "inspect", "ast", "dis", "numpy"}
+
+
+class TestProcessExit:
+    """`python -m arcplate` exits through arcplate.__main__.run, which freezes
+    the collector once main() returns, so that interpreter teardown skips
+    the heap. What the process writes and returns is what main() does."""
+
+    CASES = {
+        "stdout-sweep": (EXIT_OK, ("sweep", "--points", "3")),
+        "out-sweep": (EXIT_OK, ("sweep", "--points", "3", "--out", "s.csv")),
+        "usage": (EXIT_USAGE, ("sweep", "--points", "0")),
+        "physics": (EXIT_PHYSICS, ("sweep", "--gap-min", "0um", "--points", "2")),
+        "config": (EXIT_CONFIG, ("sweep", "--points", "3", "--materials", "gold",
+                                 "--out", "out.csv")),  # out.meta.json is a directory
+    }
+
+    @staticmethod
+    def files(directory):
+        """Each file's bytes, the sidecar's timestamp blanked."""
+        return {
+            path.name: re.sub(rb'"timestamp_utc": "[^"]*"', b'"timestamp_utc": ""',
+                              path.read_bytes())
+            for path in directory.iterdir() if path.is_file()
+        }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_module_matches_in_process_main(self, case, capsys, monkeypatch, tmp_path):
+        code, argv = self.CASES[case]
+        child_dir, own_dir = tmp_path / "child", tmp_path / "own"
+        for directory in (child_dir, own_dir):
+            (directory / "out.meta.json").mkdir(parents=True)
+        env = subprocess_env()
+        env.pop("PYTHONWARNINGS", None)
+        child = subprocess.run(
+            [sys.executable, "-m", "arcplate", *argv],
+            capture_output=True, text=True, timeout=60, env=env, cwd=child_dir,
+        )
+        monkeypatch.chdir(own_dir)
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")  # as in a fresh interpreter
+            own = run_cli(capsys, *argv)
+        assert own[0] == code
+        assert (child.returncode, child.stdout, child.stderr) == own
+        assert self.files(child_dir) == self.files(own_dir)
+
+    def test_atexit_handlers_run_after_the_freeze(self):
+        script = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('atexit: frozen', gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['arcplate', 'sweep', '--points', '2', '--materials', 'gold']\n"
+            "runpy.run_module('arcplate', run_name='__main__')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60, env=subprocess_env(),
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[0].startswith("gap_m,")
+        assert len(lines) == 4
+        assert lines[-1] == "atexit: frozen True"
+
+    def test_main_leaves_the_collector_alone(self, capsys, tmp_path):
+        state = gc.isenabled(), gc.get_freeze_count()
+        code, _, _ = run_cli(capsys, "sweep", "--points", "2", "--out", str(tmp_path / "s.csv"))
+        assert code == EXIT_OK
+        assert (gc.isenabled(), gc.get_freeze_count()) == state
