@@ -183,13 +183,14 @@ def run_sweep(config: SweepConfig) -> SweepTable:
     gaps, energies, thickness, delta, arc_length = _sweep_columns(config)
     keys = [model.key for model in config.models]
     cells = [(mat.name, key) for mat in config.materials for key in keys]
-    rows = map(
-        SweepRow,
+    # tuple.__new__ is the call SweepRow's own __new__ makes, without its
+    # Python frame per row
+    rows = map(tuple.__new__, repeat(SweepRow), zip(
         gaps,
         [dict(zip(keys, us)) for us in zip(*energies)],
         [dict(zip(cells, ts)) for ts in zip(*thickness)],
         repeat(None) if delta is None else delta,
-    )
+    ))
     return SweepTable(config=config, rows=tuple(rows), arc_length=arc_length)
 
 
@@ -202,12 +203,13 @@ def _sweep_columns(
     model) cell, materials outermost, m; delta is the comparison pair's
     deviation at the first material, or None without a comparison.
 
-    One ArcGeometry, at the first gap, serves the whole sweep: its integrals
-    run once per gap, in grid order, and each material's bending coefficient
-    once per sweep, since the arc length does not depend on the gap. The grid
-    ascends from the first gap and the sagitta does not depend on the gap, so
-    contact, a non-positive gap and the radius and span checks can fail only
-    there; _integrals checks gap/radius at every gap.
+    One ArcGeometry, at the first gap, serves the whole sweep: one call of
+    its _integrals evaluates every gap, in grid order, and each material's
+    bending coefficient is formed once per sweep, since the arc length does
+    not depend on the gap. The grid ascends from the first gap and the
+    sagitta does not depend on the gap, so contact, a non-positive gap and
+    the radius and span checks can fail only there; _integrals checks
+    gap/radius at every gap.
 
     Energies and thicknesses come from casimir._energies and _thicknesses,
     which check whole columns. Only when a check fails are the gaps evaluated
@@ -219,7 +221,7 @@ def _sweep_columns(
     arc_length = geom.arc_length()
     coefs = [_bending_coefficient(mat, arc_length, config.radius) for mat in config.materials]
     try:
-        energies = _energies(list(map(geom._integrals, gaps)), config.models)
+        energies = _energies(*geom._integrals(gaps), config.models)
         thickness = _thicknesses(energies, coefs)
     except ArcPlateError:
         thickness = None
@@ -227,7 +229,7 @@ def _sweep_columns(
         # gap by gap, in grid order, each gap's checks in order (integrals,
         # energies, thicknesses): the first failing gap raises its error
         for gap in gaps:
-            _thicknesses(_energies([geom._integrals(gap)], config.models), coefs)
+            _thicknesses(_energies(*geom._integrals([gap]), config.models), coefs)
         raise AssertionError("a sweep column failed its check but no gap does")
     delta = None
     pair = config.resolved_comparison()

@@ -158,18 +158,19 @@ def arc_energy(geom: ArcGeometry, model: EnergyModel) -> float:
     """Arc-plate interaction energy per unit depth, J/m.
 
     -pi^2 hbar c / 1440 times I0 + kappa*(2/3)*I1, with I0 and I1 from
-    ArcGeometry._integrals. Both are positive, so kappa = 0 returns I0 exactly.
+    ArcGeometry._integrals on the one-gap column [geom.gap]. Both are
+    positive, so kappa = 0 returns I0 exactly.
 
     Raises PfaViolationError when gap/radius reaches the 0.5 hard threshold
     of validate_pfa(), and NonFiniteResultError when the integrals leave the
     range of a double; contact is already excluded by the geometry.
     """
-    return _energies([geom._integrals(geom.gap)], [model])[0][0]
+    return _energies(*geom._integrals([geom.gap]), [model])[0][0]
 
 
-def _energies(integrals: list[tuple[float, float]],
+def _energies(i0s: list[float], i1s: list[float],
               models: Sequence[EnergyModel]) -> list[list[float]]:
     """-pi^2 hbar c / 1440 (I0 + kappa*(2/3)*I1), J/m: one column per model,
-    over every (I0, I1) pair."""
-    return [[-_ARC_COEF * (i0 + weight * i1) for i0, i1 in integrals]
+    over the columns I0s and I1s of ArcGeometry._integrals, gap by gap."""
+    return [[-_ARC_COEF * (i0 + weight * i1) for i0, i1 in zip(i0s, i1s)]
             for weight in [model.gradient_weight * (2.0 / 3.0) for model in models]]

@@ -17,10 +17,8 @@ import json
 import math
 import os
 import re
-import shlex
 import sys
 import warnings
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
@@ -148,15 +146,28 @@ def material_table(path: str | None) -> dict[str, dict]:
 
     Every file entry is checked here, against the JSON shape and Material's
     range rules, but none is built, so an entry no command uses cannot warn.
-    Unknown fields are rejected so typos cannot silently fall back to
-    builtin values."""
+    Unknown or repeated fields are rejected so typos cannot silently fall
+    back to builtin values or to another value of the same field."""
     table = dict(_BUILTINS)
     if not path:
         return table
+
+    def fields_once(pairs: list[tuple[str, object]]) -> dict:
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise MaterialConfigError(
+                    f'materials file {path}: field "{key}" repeated in one entry')
+            seen.add(key)
+        return dict(pairs)
+
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float,
+                         object_pairs_hook=fields_once)
     except OSError as exc:
         raise MaterialConfigError(f"cannot read materials file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # a ValueError, which would read as a usage error
+        raise MaterialConfigError(f"materials file {path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MaterialConfigError(f"materials file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
@@ -268,6 +279,9 @@ def make_record(
     geometry: dict | None,
     extra_metadata: dict | None = None,
 ) -> dict:
+    import shlex  # here, not at module level: only a record needs these two
+    from datetime import datetime, timezone
+
     metadata: dict = {
         "constants": {"hbar_J_s": _HBAR, "c_m_per_s": _C},
     }

@@ -9,7 +9,7 @@ package's value types, lives here: every module that defines one imports this.
 from __future__ import annotations
 
 import math
-from typing import Literal
+from typing import Literal, Sequence
 
 from .errors import (ContactViolationError, NonFiniteResultError, NonPositiveGapError,
                      PfaViolationError)
@@ -91,8 +91,9 @@ class PfaReport(Frozen):
 class ArcGeometry(Frozen):
     """The terms of the arc integrals that do not depend on the gap (the
     sagitta, T = tan(theta_max/2), 1 + T^2 and atanh T) are derived once, on
-    construction and on restoring a copy or pickle; _integrals(gap) does the
-    rest, so one geometry serves a whole sweep."""
+    construction and on restoring a copy or pickle; _integrals(gaps) does the
+    rest for a whole column of gaps, so one geometry and one call serve a
+    whole sweep."""
 
     # R, y_max, g (see above), m; then the derived terms, set by _derive
     __slots__ = ("radius", "half_span", "gap", "sagitta", "_t", "_one_plus_t2", "_atanh_t")
@@ -133,11 +134,12 @@ class ArcGeometry(Frozen):
         for name, value in zip(ArcGeometry.__slots__[3:], terms, strict=True):
             object.__setattr__(self, name, value)
 
-    def _integrals(self, g: float) -> tuple[float, float]:
-        """(I0, I1): I0 = integral 1/psi^3 and I1 = integral psi'^2/psi^3
-        over the span at gap g, in 1/m^2. Every model's energy is linear in
-        them. g is the geometry's gap or a larger one, so that it clears the
-        plate.
+    def _integrals(self, gaps: Sequence[float]) -> tuple[list[float], list[float]]:
+        """The columns (I0s, I1s) over gaps, in 1/m^2: at each gap g,
+        I0 = integral 1/psi^3 and I1 = integral psi'^2/psi^3 over the span.
+        Every model's energy is linear in them. Each g is the geometry's gap
+        or a larger one, so that it clears the plate; one call evaluates a
+        whole sweep, and a single gap is a one-gap column.
 
         With y = R sin(theta), t = tan(theta/2) and B = (2R - g)/g,
         psi = g (1 - B t^2)/(1 + t^2) and both integrands are rational in t
@@ -154,46 +156,57 @@ class ArcGeometry(Frozen):
         cancel, but they are small next to I0, so the energy and the ratio
         I1/I0 (which fixes the pfa/ntlo deviation) stay accurate.
 
-        Raises PfaViolationError when gap/radius reaches the 0.5 hard
-        threshold of validate_pfa() (with the constructor's message from 1 on),
-        and NonFiniteResultError when I0 is not positive or I0 + I1 is not
-        finite in double precision, so that every energy formed from them is
-        finite and negative.
+        The gaps are checked in order, each before the next is evaluated, so
+        the first failing gap raises: PfaViolationError when gap/radius
+        reaches the 0.5 hard threshold of validate_pfa() (with the
+        constructor's message from 1 on), and NonFiniteResultError when I0
+        is not positive or I0 + I1 is not finite in double precision, so
+        that every energy formed from them is finite and negative.
         """
-        R = self.radius
-        ratio = g / R
-        if ratio >= PFA_FAIL_RATIO:
-            _check_gap_ratio(g, R)
-            raise PfaViolationError(
-                f"gap/radius = {ratio:.3g} >= 0.5; the arc energy is not "
-                "evaluated beyond the proximity approximation's hard threshold"
-            )
-        T = self._t
-        B = (2.0 * R - g) / g
-        b = math.sqrt(B)
-        # w = 1 - B T^2, written through the sagitta so that it is positive
-        # exactly when the geometry clears the plate
-        w = (g - self.sagitta) * self._one_plus_t2 / g
-        # atanh(bT)/b, via log1p: the plain log loses digits when bT is small
-        k1 = math.log1p(2.0 * b * T * (1.0 + b * T) / w) / (2.0 * b)
-        k2 = T / (2.0 * w) + 0.5 * k1
-        k3 = T / (4.0 * w * w) + 0.75 * k2
-        D = 2.0 * (R - g) / g  # B - 1, > 2 below the hard threshold
-        try:  # g**3 can underflow to zero and the powers of B overflow
-            scale = 4.0 * R / g**3
-            i0 = scale * ((1.0 - 1.0 / (B * B)) * k3 + (2.0 * k2 - k1) / (B * B))
-            i1 = scale * (
-                4.0 * (B + 1.0) / (B * D) * k3
-                - 4.0 * ((B + 1.0) ** 2 - 2.0) / (B * D * D) * k2
-                + 8.0 / D**3 * (B * k1 - self._atanh_t)
-            )
-        except (OverflowError, ZeroDivisionError):
-            i0 = i1 = math.nan
-        if not (i0 > 0.0 and math.isfinite(i0 + i1)):
-            raise NonFiniteResultError(
-                f"arc integrals at radius {R} m, gap {g} m out of double range"
-            )
-        return i0, i1
+        # the gap-independent terms, bound once per call; per gap, every
+        # expression keeps the order of operations of the formulas above
+        R, T, sagitta = self.radius, self._t, self.sagitta
+        one_plus_t2, atanh_t = self._one_plus_t2, self._atanh_t
+        two_r, four_r = 2.0 * R, 4.0 * R
+        sqrt, log1p, isfinite = math.sqrt, math.log1p, math.isfinite
+        i0s: list[float] = []
+        i1s: list[float] = []
+        for g in gaps:
+            ratio = g / R
+            if ratio >= PFA_FAIL_RATIO:
+                _check_gap_ratio(g, R)
+                raise PfaViolationError(
+                    f"gap/radius = {ratio:.3g} >= 0.5; the arc energy is not "
+                    "evaluated beyond the proximity approximation's hard threshold"
+                )
+            B = (two_r - g) / g
+            b = sqrt(B)
+            # w = 1 - B T^2, written through the sagitta so that it is positive
+            # exactly when the geometry clears the plate
+            w = (g - sagitta) * one_plus_t2 / g
+            # atanh(bT)/b, via log1p: the plain log loses digits when bT is small
+            k1 = log1p(2.0 * b * T * (1.0 + b * T) / w) / (2.0 * b)
+            k2 = T / (2.0 * w) + 0.5 * k1
+            k3 = T / (4.0 * w * w) + 0.75 * k2
+            D = 2.0 * (R - g) / g  # B - 1, > 2 below the hard threshold
+            BB, BD = B * B, B * D
+            try:  # g**3 can underflow to zero and the powers of B overflow
+                scale = four_r / g**3
+                i0 = scale * ((1.0 - 1.0 / BB) * k3 + (2.0 * k2 - k1) / BB)
+                i1 = scale * (
+                    4.0 * (B + 1.0) / BD * k3
+                    - 4.0 * ((B + 1.0) ** 2 - 2.0) / (BD * D) * k2
+                    + 8.0 / D**3 * (B * k1 - atanh_t)
+                )
+            except (OverflowError, ZeroDivisionError):
+                i0 = i1 = math.nan
+            if not (i0 > 0.0 and isfinite(i0 + i1)):
+                raise NonFiniteResultError(
+                    f"arc integrals at radius {R} m, gap {g} m out of double range"
+                )
+            i0s.append(i0)
+            i1s.append(i1)
+        return i0s, i1s
 
     def arc_length(self) -> float:
         """Arc length 2 R arcsin(y_max / R), m; independent of the gap."""

@@ -4,9 +4,11 @@ Everything here deliberately avoids the package's own closed forms and
 cancellation-safe formula variants: plain midpoint rule on numpy arrays,
 40-digit mpmath quadrature of the integrands, and textbook closed forms, so
 agreement with the library is a genuine cross-check and not the same code
-evaluated twice. The exception is reference_sweep, which pins the order of a
-sweep's rows and errors, not its arithmetic, and so calls the package's arc
-integrals and bending coefficient.
+evaluated twice. There are two exceptions. reference_sweep pins the order of
+a sweep's rows and errors, not its arithmetic, and so calls the package's arc
+integrals and bending coefficient. reference_integrals is the arc-integral
+closed form as it was written for one gap at a time (arcplate 0.4.0), kept
+verbatim so that the column kernel can be held to its bits and its errors.
 """
 
 import math
@@ -17,8 +19,8 @@ import numpy as np
 
 from arcplate.analysis import SweepRow, _bending_coefficient, fractional_deviation
 from arcplate.casimir import _ARC_COEF
-from arcplate.errors import NonFiniteResultError, NonNegativeEnergyError
-from arcplate.geometry import ArcGeometry
+from arcplate.errors import NonFiniteResultError, NonNegativeEnergyError, PfaViolationError
+from arcplate.geometry import PFA_FAIL_RATIO, ArcGeometry, _check_gap_ratio
 
 HBAR = 1.054571817e-34  # J*s
 C = 299792458.0  # m/s
@@ -121,7 +123,7 @@ def reference_sweep(config) -> tuple[list[SweepRow], float]:
         other, reference = (first_material, pair[0].key), (first_material, pair[1].key)
     rows = []
     for gap in gaps:
-        i0, i1 = geom._integrals(gap)
+        (i0,), (i1,) = geom._integrals([gap])
         us = [-_ARC_COEF * (i0 + weight * i1) for weight in weights]
         for u in us:
             if not u < 0.0:
@@ -135,3 +137,42 @@ def reference_sweep(config) -> tuple[list[SweepRow], float]:
             delta = fractional_deviation(thickness[other], thickness[reference])
         rows.append(SweepRow(gap, dict(zip(keys, us)), thickness, delta))
     return rows, arc_length
+
+
+def reference_integrals(self: ArcGeometry, g: float) -> tuple[float, float]:
+    """(I0, I1) of geometry self at gap g: the body of the one-gap
+    ArcGeometry._integrals(g) of arcplate 0.4.0, verbatim."""
+    R = self.radius
+    ratio = g / R
+    if ratio >= PFA_FAIL_RATIO:
+        _check_gap_ratio(g, R)
+        raise PfaViolationError(
+            f"gap/radius = {ratio:.3g} >= 0.5; the arc energy is not "
+            "evaluated beyond the proximity approximation's hard threshold"
+        )
+    T = self._t
+    B = (2.0 * R - g) / g
+    b = math.sqrt(B)
+    # w = 1 - B T^2, written through the sagitta so that it is positive
+    # exactly when the geometry clears the plate
+    w = (g - self.sagitta) * self._one_plus_t2 / g
+    # atanh(bT)/b, via log1p: the plain log loses digits when bT is small
+    k1 = math.log1p(2.0 * b * T * (1.0 + b * T) / w) / (2.0 * b)
+    k2 = T / (2.0 * w) + 0.5 * k1
+    k3 = T / (4.0 * w * w) + 0.75 * k2
+    D = 2.0 * (R - g) / g  # B - 1, > 2 below the hard threshold
+    try:  # g**3 can underflow to zero and the powers of B overflow
+        scale = 4.0 * R / g**3
+        i0 = scale * ((1.0 - 1.0 / (B * B)) * k3 + (2.0 * k2 - k1) / (B * B))
+        i1 = scale * (
+            4.0 * (B + 1.0) / (B * D) * k3
+            - 4.0 * ((B + 1.0) ** 2 - 2.0) / (B * D * D) * k2
+            + 8.0 / D**3 * (B * k1 - self._atanh_t)
+        )
+    except (OverflowError, ZeroDivisionError):
+        i0 = i1 = math.nan
+    if not (i0 > 0.0 and math.isfinite(i0 + i1)):
+        raise NonFiniteResultError(
+            f"arc integrals at radius {R} m, gap {g} m out of double range"
+        )
+    return i0, i1

@@ -418,17 +418,19 @@ class TestSweepKernel:
 
     @pytest.mark.parametrize("models", [(NTLO,), (PFA, NTLO), MANY_MODELS])
     def test_one_arc_integral_per_gap(self, monkeypatch, models):
-        calls = []
+        calls, batches = [], []  # every gap evaluated; one entry per call
         integrals = ArcGeometry._integrals
 
-        def counted(geom, gap):
-            calls.append(gap)
-            return integrals(geom, gap)
+        def counted(geom, gaps):
+            calls.extend(gaps)
+            batches.append(len(gaps))
+            return integrals(geom, gaps)
 
         monkeypatch.setattr(ArcGeometry, "_integrals", counted)
         cfg = config(points=17, models=models, materials=(GOLD, SILVER, FOIL))
         run_sweep(cfg)
         assert calls == cfg.gaps()
+        assert batches == [cfg.points]
 
     @pytest.mark.parametrize("points", [1, 17, 1000])
     def test_one_geometry_per_sweep(self, monkeypatch, points):

@@ -10,6 +10,7 @@ from arcplate import (
     NTLO,
     PFA,
     ArcGeometry,
+    ArcPlateError,
     EnergyModel,
     NonFiniteResultError,
     NonPositiveGapError,
@@ -29,6 +30,7 @@ from oracles import (
     midpoint_arc_energy,
     mpmath_arc_energy,
     mpmath_gradient_correction,
+    reference_integrals,
 )
 from quadrature import GAUSS_CROSS_CHECK, QuadratureSpec, integrate
 
@@ -352,6 +354,36 @@ class TestArcEnergy:
         for model in (PFA, NTLO):
             oracle = mpmath_arc_energy(radius, half_span, gap, model.gradient_weight)
             assert abs(arc_energy(geom, model) - oracle) <= 1e-10 * abs(oracle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(radius=RADII, ratio=SPAN_RATIOS, exponent=st.integers(-140, 150),
+           positions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+    def test_integrals_of_a_column_are_the_one_gap_formula(self, radius, ratio, exponent,
+                                                           positions):
+        # every length scaled by 10**exponent, so that the integrals or g**3
+        # leave a double's range at either end; gaps log-uniform from 1.01
+        # times the sagitta to 1.5 times the radius, in drawn order
+        radius *= 10.0**exponent
+        half_span = radius * ratio
+        lo, hi = math.log(1.01 * sagitta(radius, half_span)), math.log(1.5 * radius)
+        gaps = [math.exp(lo + position * (hi - lo)) for position in positions]
+        geom = ArcGeometry(radius=radius, half_span=half_span, gap=math.exp(lo))
+        expected, failure = [], None
+        for gap in gaps:  # the first failing gap decides the error
+            try:
+                expected.append(reference_integrals(geom, gap))
+            except ArcPlateError as exc:
+                failure = exc
+                break
+        if failure is None:
+            i0s, i1s = geom._integrals(gaps)
+            assert [(i0.hex(), i1.hex()) for i0, i1 in zip(i0s, i1s, strict=True)] == [
+                (i0.hex(), i1.hex()) for i0, i1 in expected
+            ]
+        else:
+            with pytest.raises(ArcPlateError) as info:
+                geom._integrals(gaps)
+            assert (type(info.value), str(info.value)) == (type(failure), str(failure))
 
     @pytest.mark.parametrize(
         "radius,half_span,gap",

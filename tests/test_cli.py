@@ -438,12 +438,13 @@ class TestSweepColumns:
         def no_rows(*args, **kwargs):
             raise AssertionError("sweep built a SweepRow")
 
-        calls = []
+        calls, batches = [], []  # every gap evaluated; one entry per call
         integrals = ArcGeometry._integrals
 
-        def counted(geom, gap):
-            calls.append(gap)
-            return integrals(geom, gap)
+        def counted(geom, gaps):
+            calls.extend(gaps)
+            batches.append(len(gaps))
+            return integrals(geom, gaps)
 
         monkeypatch.setattr(arcplate.analysis, "SweepRow", no_rows)
         monkeypatch.setattr(ArcGeometry, "_integrals", counted)
@@ -454,6 +455,7 @@ class TestSweepColumns:
             radius=1e-4, half_span=3e-6, materials=(material_by_name("gold"),), models=(PFA,),
         )
         assert calls == cfg.gaps()
+        assert batches == [cfg.points]
 
     def test_stdout_sweep_formats_no_sidecar_rows(self, monkeypatch, capsys):
         def no_rows(*args, **kwargs):
@@ -1257,6 +1259,31 @@ class TestMaterialsFile:
         assert code == EXIT_CONFIG
         assert "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "command", [("materials", "list"), ("sweep", "--points", "2", "--out", "o.csv")],
+        ids=["materials-list", "sweep"],
+    )
+    def test_file_that_is_not_utf8(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        Path("materials.json").write_bytes(b'\xff\xfe[{"name": "x"}]')
+        code, _, err = run_cli(capsys, *command, "--materials-file", "materials.json")
+        assert code == EXIT_CONFIG
+        assert "materials file materials.json is not valid UTF-8" in err
+        assert os.listdir() == ["materials.json"]  # no CSV, no sidecar
+
+    @pytest.mark.parametrize("field,value", [("name", '"y"'), ("poisson_ratio", "0.2")],
+                             ids=["name", "poisson_ratio"])
+    def test_repeated_field(self, capsys, tmp_path, field, value):
+        path = self.write(
+            tmp_path,
+            '[{"name": "x", "youngs_modulus_pa": 1e9, "poisson_ratio": 0.3, '
+            f'"{field}": {value}}}]',
+        )
+        code, out, err = run_cli(capsys, "materials", "list", "--materials-file", path)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f'materials file {path}: field "{field}" repeated in one entry' in err
+
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -1383,13 +1410,20 @@ class TestConsoleScript:
             "from arcplate.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert main(['energy', '--geometry', 'arc', '--gap', '0.1um']) == 0",
+            "from arcplate.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['sweep', '--points', '3']) == 0",
+            "from arcplate.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['validate']) == 0",
         ],
-        ids=["import", "energy-arc"],
+        ids=["import", "energy-arc", "stdout-sweep", "validate"],
     )
     def test_import_adds_no_dataclasses_inspect_or_numpy(self, command):
         """Checks the modules that importing arcplate.cli, or running a
         command, adds, so that a module the site preloads does not count
-        against it."""
+        against it. Only the JSON record of energy, materials show and a
+        sweep's sidecar needs datetime and shlex."""
         script = (
             "import contextlib, io, sys\nbefore = set(sys.modules)\n" + command
             + "\nprint(' '.join(sorted(set(sys.modules) - before)))"
@@ -1405,6 +1439,8 @@ class TestConsoleScript:
         added = set(result.stdout.split())
         assert "arcplate.cli" in added
         assert not added & {"dataclasses", "inspect", "ast", "dis", "numpy"}
+        if "'energy'" not in command:
+            assert not added & {"datetime", "shlex"}
 
 
 class TestProcessExit:

@@ -122,8 +122,8 @@ def test_arc_geometry_copies_keep_the_derived_terms(copier):
     geom = ArcGeometry(radius=1e-4, half_span=3e-6, gap=1e-7)
     twin = copier(geom)
     assert twin.sagitta == geom.sagitta
-    for gap in (geom.gap, 7e-7):
-        assert twin._integrals(gap) == geom._integrals(gap)
+    for gaps in ([geom.gap], [7e-7], [geom.gap, 7e-7]):
+        assert twin._integrals(gaps) == geom._integrals(gaps)
 
 
 def test_copying_does_not_rerun_the_checks():
