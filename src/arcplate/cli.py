@@ -142,7 +142,7 @@ _REQUIRED = {"name", "youngs_modulus_pa", "poisson_ratio"}
 def material_table(path: str | None) -> dict[str, dict]:
     """Lower-cased name -> Material arguments: the builtins overlaid with the
     entries of the materials JSON file at ``path``, which win on a name
-    collision.
+    collision. Two file entries of one name, in any case, are an error.
 
     Every file entry is checked here, against the JSON shape and Material's
     range rules, but none is built, so an entry no command uses cannot warn.
@@ -172,9 +172,14 @@ def material_table(path: str | None) -> dict[str, dict]:
         raise MaterialConfigError(f"materials file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise MaterialConfigError(f"materials file {path} must be a JSON array of objects")
+    first: dict[str, int] = {}  # lower-cased name -> index of its entry
     for index, entry in enumerate(doc):
         args = _material_args(entry, f"{path}, entry {index}")
-        table[args["name"].lower()] = args
+        key = args["name"].lower()
+        if first.setdefault(key, index) != index:
+            raise MaterialConfigError(f"materials file {path}: entries {first[key]} and "
+                                      f"{index} both name {key!r} (names ignore case)")
+        table[key] = args
     return table
 
 
@@ -256,60 +261,33 @@ def _render_sweep(
     return "\n".join(csv_lines) + "\n", texts
 
 
-def _rows_json(
-    names: list[tuple[str, str | None]], columns: list[list[float]], texts: list[list[str]]
-) -> str:
-    """The sidecar's "rows" array as JSON text, from the columns and the
-    reprs _render_sweep made of them, laid out as json.dumps(..., indent=2)
-    lays it out as the value of a top-level key."""
-    # json writes NaN and Infinity where repr writes nan and inf. The sum is
-    # non-finite whenever a value is; on a finite overflow json.dumps simply
-    # repeats repr.
-    texts = [
-        text if math.isfinite(sum(column)) else list(map(json.dumps, column))
-        for text, column in zip(texts, columns)
-    ]
+def _rows_json(names: list[tuple[str, str | None]], texts: list[list[str]]) -> str:
+    """The sidecar's "rows" array as JSON text, from the reprs _render_sweep
+    made of the columns, laid out as json.dumps(..., indent=2) lays it out as
+    the value of a top-level key. Every column of a sweep is finite, so each
+    repr is what json writes."""
     row = "{\n      " + ",\n      ".join(json.dumps(key) + ": %s" for key, _ in names) + "\n    }"
     return "[\n    " + ",\n    ".join(map(row.__mod__, zip(*texts))) + "\n  ]"
 
 
-def make_record(
-    argv: Sequence[str],
-    rows: list[dict],
-    geometry: dict | None,
-    extra_metadata: dict | None = None,
-) -> dict:
+def make_record(argv: Sequence[str], rows: list[dict], **metadata: object) -> str:
+    """The JSON text, json.dumps(record, indent=2), of a command's record:
+    its rows, and metadata holding the constants, then ``metadata`` in the
+    order given, then the time."""
     import shlex  # here, not at module level: only a record needs these two
     from datetime import datetime, timezone
 
-    metadata: dict = {
-        "constants": {"hbar_J_s": _HBAR, "c_m_per_s": _C},
-    }
-    if geometry is not None:
-        metadata["geometry"] = geometry
-    if extra_metadata:
-        metadata.update(extra_metadata)
-    metadata["timestamp_utc"] = datetime.now(timezone.utc).isoformat()
-    return {
+    record = {
         "schema_version": SCHEMA_VERSION,
         "command": shlex.join(["arcplate", *argv]),
         "rows": rows,
-        "metadata": metadata,
+        "metadata": {
+            "constants": {"hbar_J_s": _HBAR, "c_m_per_s": _C},
+            **metadata,
+            "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+        },
     }
-
-
-def _record_json(record: dict, rows_json: str) -> str:
-    """json.dumps(record, indent=2) + "\n" with rows_json, a rows array laid
-    out for that position, in place of record["rows"]. Nested values are
-    dumped alone and indented one level; json escapes every newline inside a
-    string, so each literal newline starts a line of the layout."""
-    items = [
-        json.dumps(key)
-        + ": "
-        + (rows_json if key == "rows" else json.dumps(value, indent=2).replace("\n", "\n  "))
-        for key, value in record.items()
-    ]
-    return "{\n  " + ",\n  ".join(items) + "\n}\n"
+    return json.dumps(record, indent=2)
 
 
 def _material_dict(mat: Material) -> dict:
@@ -370,7 +348,7 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     sidecar = out.with_name(out.stem + ".meta.json")
     record = make_record(
         argv,
-        [],  # laid out by _rows_json; _record_json puts its text here
+        [],  # the first '"rows": []' of the text: json escapes each quote in the command
         geometry={
             "radius_m": config.radius,
             "half_span_m": config.half_span,
@@ -379,13 +357,12 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
             "points": config.points,
             "arc_length_m": arc_length,
         },
-        extra_metadata={
-            "materials": [_material_dict(m) for m in config.materials],
-            "models": [m.label for m in config.models],
-            "csv_file": out.name,
-        },
+        materials=[_material_dict(m) for m in config.materials],
+        models=[m.label for m in config.models],
+        csv_file=out.name,
     )
-    _write_all([(out, text), (sidecar, _record_json(record, _rows_json(names, columns, texts)))])
+    sidecar_text = record.replace('"rows": []', '"rows": ' + _rows_json(names, texts), 1)
+    _write_all([(out, text), (sidecar, sidecar_text + "\n")])
 
     ref = config.reference_model()
     ref_columns = thickness[config.models.index(ref)::len(config.models)]  # one per material
@@ -434,8 +411,7 @@ def cmd_energy(args: argparse.Namespace, argv: list[str]) -> int:
         del row["model"]
     geometry = {"arc": {"radius_m": args.r, "half_span_m": args.span / 2.0}, "parallel": {},
                 "sphere": {"radius_m": args.r}}[args.geometry] | {"gap_m": args.gap}
-    record = make_record(argv, [row], geometry)
-    print(json.dumps(record, indent=2))
+    print(make_record(argv, [row], geometry=geometry))
     return EXIT_OK
 
 
@@ -484,8 +460,7 @@ def cmd_materials(args: argparse.Namespace, argv: list[str]) -> int:
             )
         return EXIT_OK
     mat = _build_material(material_table(args.materials_file), args.name)
-    record = make_record(argv, [_material_dict(mat)], geometry=None)
-    print(json.dumps(record, indent=2))
+    print(make_record(argv, [_material_dict(mat)]))
     return EXIT_OK
 
 

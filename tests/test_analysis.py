@@ -508,6 +508,10 @@ class TestSweepKernel:
             assert list(table.rows) == rows
             assert [repr(row) for row in table.rows] == [repr(row) for row in rows]
             assert table.arc_length == arc_length
+            for row in table.rows:  # so the sidecar can write each value's repr
+                deltas = [] if row.delta is None else [row.delta]
+                values = [row.gap, *row.energies.values(), *row.thickness.values(), *deltas]
+                assert all(map(math.isfinite, values)), row
 
     @pytest.mark.parametrize(
         "overrides",

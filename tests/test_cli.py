@@ -12,6 +12,7 @@ arcplate package this suite imported, so none needs an install.
 import ast
 import contextlib
 import gc
+import hashlib
 import importlib
 import inspect
 import io
@@ -47,9 +48,6 @@ from arcplate.cli import (
     EXIT_OK,
     EXIT_PHYSICS,
     EXIT_USAGE,
-    _column_names,
-    _render_sweep,
-    _rows_json,
     main,
     material_key,
     parse_length,
@@ -414,21 +412,48 @@ class TestSweepOutputContract:
                     name = f"{name[:-2]}_{reference}_m"
                 assert row[name] == cell
 
-    def test_non_finite_values_are_written_as_json_writes_them(self):
-        cfg = SweepConfig(
-            gap_min=1e-7, gap_max=1e-7, points=1, radius=1e-4, half_span=3e-6,
-            materials=(material_by_name("gold"),), models=(PFA, NTLO),
+    def test_default_sweep_bytes(self, capsys, tmp_path, monkeypatch):
+        """The default sweep's CSV and sidecar, byte for byte, timestamp aside.
+
+        The values come from this platform's libm (glibc): another libm may
+        round a transcendental differently and change the hashes. The CSV
+        hash is the same under CPython 3.10 to 3.13."""
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "sweep")
+        assert code == EXIT_OK
+        assert run_cli(capsys, "sweep", "--out", "o.csv")[0] == EXIT_OK
+        sidecar = re.sub(r'"timestamp_utc": "[^"]*"', '"timestamp_utc": ""',
+                         Path("o.meta.json").read_text())
+        csv_hash = "3a973d6ef2cfecd44cc79feed6bf817d507ac04b88018d150ebd05007912d5a7"
+        assert hashlib.sha256(out.encode()).hexdigest() == csv_hash
+        assert hashlib.sha256(Path("o.csv").read_bytes()).hexdigest() == csv_hash
+        assert hashlib.sha256(sidecar.encode()).hexdigest() == (
+            "25a72e2dad3ca8f6395120bbb18f2f9d79c4db753169746636ee6b7693a2bff3"
         )
-        # gap, u_pfa, u_ntlo, t_max[gold, pfa], t_max[gold, ntlo], delta
-        values = [1e-7, -math.inf, math.nan, math.inf, 1e-9, math.nan]
-        names, columns = _column_names(cfg), [[value] for value in values]
-        csv_text, texts = _render_sweep(names, columns)
-        rows_json = _rows_json(names, columns, texts)
-        assert csv_text.splitlines()[1] == "1e-07,-inf,nan,1e-09,nan"
-        keys = ["gap_m", "u_pfa_J_per_m", "u_ntlo_J_per_m", "t_max_au_pfa_m",
-                "t_max_au_ntlo_m", "delta"]
-        expected = json.dumps({"rows": [dict(zip(keys, values))]}, indent=2)
-        assert expected == '{\n  "rows": ' + rows_json + "\n}"
+
+    def test_rows_placeholder_in_the_command_line(self, capsys, tmp_path, monkeypatch):
+        """The sidecar is the record's text with the rows in place of its
+        first '"rows": []', which no quote of the command line can form."""
+        folder = tmp_path / 'd"rows": []'
+        folder.mkdir()
+        (folder / 'm"rows": [].json').write_text(
+            '[{"name": "x\\"rows\\": []", "youngs_modulus_pa": 50e9, "poisson_ratio": 0.3}]'
+        )
+        monkeypatch.chdir(folder)
+        argv = ("sweep", "--points", "3", "--materials", 'x"rows": []',
+                "--materials-file", 'm"rows": [].json', "--out", 'o"rows": [].csv')
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        sidecar = Path('o"rows": [].meta.json').read_text()
+        assert sidecar == json.dumps(json.loads(sidecar), indent=2) + "\n"
+        record = json.loads(sidecar, parse_float=str)
+        assert record["metadata"]["materials"][0]["name"] == 'x"rows": []'
+        header, *lines = Path('o"rows": [].csv').read_text().splitlines()
+        assert header == "gap_m,u_pfa_J_per_m,u_ntlo_J_per_m,t_max_x_rows_m,delta"
+        assert len(lines) == len(record["rows"]) == 3
+        for line, row in zip(lines, record["rows"]):
+            cells = dict(zip(header.replace("x_rows_m", "x_rows_ntlo_m").split(","),
+                             line.split(",")))
+            assert {key: row[key] for key in cells} == cells
 
 
 class TestSweepColumns:
@@ -1242,6 +1267,19 @@ class TestMaterialsFile:
             ),
             ('{"name": "x"}', "array"),
             ("{", "not valid JSON"),
+            (
+                '[{"name": "x", "youngs_modulus_pa": 1e9, "poisson_ratio": 0.3},'
+                ' {"name": "X", "youngs_modulus_pa": 2e9, "poisson_ratio": 0.2}]',
+                "entries 0 and 1 both name 'x' (names ignore case)",
+            ),
+            (
+                '[{"name": 3, "youngs_modulus_pa": 1e9, "poisson_ratio": 0.3}]',
+                '"name" must be a non-empty string',
+            ),
+            (
+                '[{"name": "  ", "youngs_modulus_pa": 1e9, "poisson_ratio": 0.3}]',
+                '"name" must be a non-empty string',
+            ),
         ],
     )
     def test_config_errors(self, capsys, tmp_path, content, needle):
@@ -1249,6 +1287,12 @@ class TestMaterialsFile:
         code, _, err = run_cli(capsys, "materials", "list", "--materials-file", path)
         assert code == EXIT_CONFIG
         assert needle in err
+        # a sweep reads the whole file before it writes anything
+        code, out, err = run_cli(capsys, "sweep", "--points", "2", "--materials", "gold",
+                                 "--materials-file", path, "--out", str(tmp_path / "o.csv"))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert needle in err
+        assert os.listdir(tmp_path) == ["materials.json"]  # no CSV, no sidecar
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(
