@@ -16,7 +16,6 @@ from typing import NamedTuple, Sequence
 from .casimir import NTLO, PFA, EnergyModel, _energies, _in_range
 from .elasticity import Material
 from .errors import (
-    ArcPlateError,
     NonFiniteResultError,
     NonNegativeEnergyError,
     NonPositiveGapError,
@@ -63,16 +62,18 @@ def _bending_coefficient(mat: Material, arc_length: float, radius: float) -> flo
 def _thicknesses(energies: list[list[float]], coefs: list[float]) -> list[list[float]]:
     """(-u / C)^(1/3), m: one column per bending coefficient C and energy
     column, coefficients outermost. Every u must be negative and every
-    thickness positive and finite; an error names the first u or row failing."""
-    bad = [u for us in energies for u in us if not u < 0.0]
-    if bad:
-        raise NonNegativeEnergyError(f"need an attractive (negative) energy, got {bad[0]}")
-    # a negative u gives a thickness in [0, inf], never nan
-    thickness = [[(-u / coef) ** (1.0 / 3.0) for u in us] for coef in coefs for us in energies]
+    thickness positive and finite; the first failing row raises, its u first."""
+    bad = [[u for u in us if not u < 0.0] for us in energies]  # index finds nan by identity
+    end = min([us.index(b[0]) for us, b in zip(energies, bad) if b], default=None)
+    # a negative u gives a thickness in [0, inf], never nan; none is formed from row end
+    thickness = [[(-u / C) ** (1.0 / 3.0) for u in us[:end]] for C in coefs for us in energies]
     rows = [ts.index(t) for ts in thickness for t in (0.0, math.inf) if t in ts]
-    if rows:  # -u / C underflowed or overflowed
+    if rows:  # -u / C underflowed or overflowed, in a row before end
         ts = [column[min(rows)] for column in thickness]
         raise NonFiniteResultError(f"critical thicknesses {ts} m leave the range of a double")
+    if end is not None:
+        u = next(us[end] for us in energies if not us[end] < 0.0)
+        raise NonNegativeEnergyError(f"need an attractive (negative) energy, got {u}")
     return thickness
 
 
@@ -203,34 +204,26 @@ def _sweep_columns(
     model) cell, materials outermost, m; delta is the comparison pair's
     deviation at the first material, or None without a comparison.
 
-    One ArcGeometry, at the first gap, serves the whole sweep: one call of
-    its _integrals evaluates every gap, in grid order, and each material's
-    bending coefficient is formed once per sweep, since the arc length does
-    not depend on the gap. The grid ascends from the first gap and the
+    One ArcGeometry, at the first gap, serves the whole sweep, and each
+    material's bending coefficient is formed once, since the arc length
+    does not depend on the gap. The grid ascends from the first gap and the
     sagitta does not depend on the gap, so contact, a non-positive gap and
-    the radius and span checks can fail only there; _integrals checks
-    gap/radius at every gap.
+    the radius and span checks can fail only there.
 
-    Energies and thicknesses come from casimir._energies and _thicknesses,
-    which check whole columns. Only when a check fails are the gaps evaluated
-    one by one, through the same two functions on one-gap columns, so that
-    the error raised is the one a row-by-row sweep meets first.
+    One call of _integrals evaluates the gaps in grid order up to the first
+    that fails and returns that gap's error. _thicknesses checks the gaps
+    before it first, row by row, so the error raised is the one a
+    row-by-row sweep meets first.
     """
     gaps = config.gaps()
     geom = ArcGeometry(radius=config.radius, half_span=config.half_span, gap=gaps[0])
     arc_length = geom.arc_length()
     coefs = [_bending_coefficient(mat, arc_length, config.radius) for mat in config.materials]
-    try:
-        energies = _energies(*geom._integrals(gaps), config.models)
-        thickness = _thicknesses(energies, coefs)
-    except ArcPlateError:
-        thickness = None
-    if thickness is None:
-        # gap by gap, in grid order, each gap's checks in order (integrals,
-        # energies, thicknesses): the first failing gap raises its error
-        for gap in gaps:
-            _thicknesses(_energies(*geom._integrals([gap]), config.models), coefs)
-        raise AssertionError("a sweep column failed its check but no gap does")
+    i0s, i1s, error = geom._integrals(gaps)
+    energies = _energies(i0s, i1s, config.models)
+    thickness = _thicknesses(energies, coefs)
+    if error is not None:
+        raise error
     delta = None
     pair = config.resolved_comparison()
     if pair is not None:  # first material: its cells lead

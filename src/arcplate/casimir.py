@@ -165,7 +165,10 @@ def arc_energy(geom: ArcGeometry, model: EnergyModel) -> float:
     of validate_pfa(), and NonFiniteResultError when the integrals leave the
     range of a double; contact is already excluded by the geometry.
     """
-    return _energies(*geom._integrals([geom.gap]), [model])[0][0]
+    i0s, i1s, error = geom._integrals([geom.gap])
+    if error is not None:
+        raise error
+    return _energies(i0s, i1s, [model])[0][0]
 
 
 def _energies(i0s: list[float], i1s: list[float],

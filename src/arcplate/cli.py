@@ -84,13 +84,13 @@ def parse_length(text: str) -> float:
     if match is None:
         raise argparse.ArgumentTypeError(
             f"length {text!r} must be a number with a unit suffix "
-            f"({', '.join(sorted(set(_UNITS), key=len))}), e.g. 0.1um"
+            f"({', '.join(sorted(_UNITS, key=len))}), e.g. 0.1um"
         )
     mantissa, exponent, unit = match.groups()
     if unit not in _UNITS:
         raise argparse.ArgumentTypeError(
             f"unknown length unit {unit!r} in {text!r}; "
-            f"use one of {', '.join(sorted(set(_UNITS), key=len))}"
+            f"use one of {', '.join(sorted(_UNITS, key=len))}"
         )
     value = float(f"{mantissa}e{int(exponent or 0) + _UNITS[unit]}")
     if not math.isfinite(value):

@@ -134,12 +134,13 @@ class ArcGeometry(Frozen):
         for name, value in zip(ArcGeometry.__slots__[3:], terms, strict=True):
             object.__setattr__(self, name, value)
 
-    def _integrals(self, gaps: Sequence[float]) -> tuple[list[float], list[float]]:
-        """The columns (I0s, I1s) over gaps, in 1/m^2: at each gap g,
-        I0 = integral 1/psi^3 and I1 = integral psi'^2/psi^3 over the span.
-        Every model's energy is linear in them. Each g is the geometry's gap
-        or a larger one, so that it clears the plate; one call evaluates a
-        whole sweep, and a single gap is a one-gap column.
+    def _integrals(self, gaps: Sequence[float]) -> tuple[
+            list[float], list[float], PfaViolationError | NonFiniteResultError | None]:
+        """(I0s, I1s, error): the arc integrals over gaps, in 1/m^2, and the
+        first failing gap's error. At each gap g, I0 = integral 1/psi^3 and
+        I1 = integral psi'^2/psi^3 over the span; every model's energy is
+        linear in them. Each g is the geometry's gap or a larger one, so that
+        it clears the plate; one call evaluates a whole sweep.
 
         With y = R sin(theta), t = tan(theta/2) and B = (2R - g)/g,
         psi = g (1 - B t^2)/(1 + t^2) and both integrands are rational in t
@@ -156,12 +157,12 @@ class ArcGeometry(Frozen):
         cancel, but they are small next to I0, so the energy and the ratio
         I1/I0 (which fixes the pfa/ntlo deviation) stay accurate.
 
-        The gaps are checked in order, each before the next is evaluated, so
-        the first failing gap raises: PfaViolationError when gap/radius
-        reaches the 0.5 hard threshold of validate_pfa() (with the
-        constructor's message from 1 on), and NonFiniteResultError when I0
-        is not positive or I0 + I1 is not finite in double precision, so
-        that every energy formed from them is finite and negative.
+        The gaps are checked in order, each before the next is evaluated, and
+        the columns end before the first that fails. Its error is
+        PfaViolationError when gap/radius reaches the 0.5 hard threshold of
+        validate_pfa() (with the constructor's message from 1 on), or
+        NonFiniteResultError when I0 is not positive or I0 + I1 is not finite
+        in double precision; error is None when no gap fails.
         """
         # the gap-independent terms, bound once per call; per gap, every
         # expression keeps the order of operations of the formulas above
@@ -171,42 +172,45 @@ class ArcGeometry(Frozen):
         sqrt, log1p, isfinite = math.sqrt, math.log1p, math.isfinite
         i0s: list[float] = []
         i1s: list[float] = []
-        for g in gaps:
-            ratio = g / R
-            if ratio >= PFA_FAIL_RATIO:
-                _check_gap_ratio(g, R)
-                raise PfaViolationError(
-                    f"gap/radius = {ratio:.3g} >= 0.5; the arc energy is not "
-                    "evaluated beyond the proximity approximation's hard threshold"
-                )
-            B = (two_r - g) / g
-            b = sqrt(B)
-            # w = 1 - B T^2, written through the sagitta so that it is positive
-            # exactly when the geometry clears the plate
-            w = (g - sagitta) * one_plus_t2 / g
-            # atanh(bT)/b, via log1p: the plain log loses digits when bT is small
-            k1 = log1p(2.0 * b * T * (1.0 + b * T) / w) / (2.0 * b)
-            k2 = T / (2.0 * w) + 0.5 * k1
-            k3 = T / (4.0 * w * w) + 0.75 * k2
-            D = 2.0 * (R - g) / g  # B - 1, > 2 below the hard threshold
-            BB, BD = B * B, B * D
-            try:  # g**3 can underflow to zero and the powers of B overflow
-                scale = four_r / g**3
-                i0 = scale * ((1.0 - 1.0 / BB) * k3 + (2.0 * k2 - k1) / BB)
-                i1 = scale * (
-                    4.0 * (B + 1.0) / BD * k3
-                    - 4.0 * ((B + 1.0) ** 2 - 2.0) / (BD * D) * k2
-                    + 8.0 / D**3 * (B * k1 - atanh_t)
-                )
-            except (OverflowError, ZeroDivisionError):
-                i0 = i1 = math.nan
-            if not (i0 > 0.0 and isfinite(i0 + i1)):
-                raise NonFiniteResultError(
-                    f"arc integrals at radius {R} m, gap {g} m out of double range"
-                )
-            i0s.append(i0)
-            i1s.append(i1)
-        return i0s, i1s
+        try:
+            for g in gaps:
+                ratio = g / R
+                if ratio >= PFA_FAIL_RATIO:
+                    _check_gap_ratio(g, R)
+                    raise PfaViolationError(
+                        f"gap/radius = {ratio:.3g} >= 0.5; the arc energy is not "
+                        "evaluated beyond the proximity approximation's hard threshold"
+                    )
+                B = (two_r - g) / g
+                b = sqrt(B)
+                # w = 1 - B T^2, written through the sagitta so that it is positive
+                # exactly when the geometry clears the plate
+                w = (g - sagitta) * one_plus_t2 / g
+                # atanh(bT)/b, via log1p: the plain log loses digits when bT is small
+                k1 = log1p(2.0 * b * T * (1.0 + b * T) / w) / (2.0 * b)
+                k2 = T / (2.0 * w) + 0.5 * k1
+                k3 = T / (4.0 * w * w) + 0.75 * k2
+                D = 2.0 * (R - g) / g  # B - 1, > 2 below the hard threshold
+                BB, BD = B * B, B * D
+                try:  # g**3 can underflow to zero and the powers of B overflow
+                    scale = four_r / g**3
+                    i0 = scale * ((1.0 - 1.0 / BB) * k3 + (2.0 * k2 - k1) / BB)
+                    i1 = scale * (
+                        4.0 * (B + 1.0) / BD * k3
+                        - 4.0 * ((B + 1.0) ** 2 - 2.0) / (BD * D) * k2
+                        + 8.0 / D**3 * (B * k1 - atanh_t)
+                    )
+                except (OverflowError, ZeroDivisionError):
+                    i0 = i1 = math.nan
+                if not (i0 > 0.0 and isfinite(i0 + i1)):
+                    raise NonFiniteResultError(
+                        f"arc integrals at radius {R} m, gap {g} m out of double range"
+                    )
+                i0s.append(i0)
+                i1s.append(i1)
+        except (PfaViolationError, NonFiniteResultError) as error:
+            return i0s, i1s, error
+        return i0s, i1s, None
 
     def arc_length(self) -> float:
         """Arc length 2 R arcsin(y_max / R), m; independent of the gap."""

@@ -123,7 +123,10 @@ def reference_sweep(config) -> tuple[list[SweepRow], float]:
         other, reference = (first_material, pair[0].key), (first_material, pair[1].key)
     rows = []
     for gap in gaps:
-        (i0,), (i1,) = geom._integrals([gap])
+        i0s, i1s, error = geom._integrals([gap])
+        if error is not None:
+            raise error
+        (i0,), (i1,) = i0s, i1s
         us = [-_ARC_COEF * (i0 + weight * i1) for weight in weights]
         for u in us:
             if not u < 0.0:

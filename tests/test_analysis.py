@@ -432,6 +432,23 @@ class TestSweepKernel:
         assert calls == cfg.gaps()
         assert batches == [cfg.points]
 
+    def test_one_arc_integral_per_gap_of_a_failing_sweep(self, monkeypatch):
+        calls, batches = [], []  # every gap evaluated; one entry per call
+        integrals = ArcGeometry._integrals
+
+        def counted(geom, gaps):
+            calls.extend(gaps)
+            batches.append(len(gaps))
+            return integrals(geom, gaps)
+
+        monkeypatch.setattr(ArcGeometry, "_integrals", counted)
+        # the last gap reaches gap/radius 0.5: no gap before it is evaluated again
+        cfg = config(points=17, gap_max=0.5 * R, materials=(GOLD, SILVER, FOIL))
+        with pytest.raises(PfaViolationError):
+            run_sweep(cfg)
+        assert calls == cfg.gaps()
+        assert batches == [cfg.points]
+
     @pytest.mark.parametrize("points", [1, 17, 1000])
     def test_one_geometry_per_sweep(self, monkeypatch, points):
         built = []
@@ -478,9 +495,17 @@ class TestSweepKernel:
                   materials=(Material("x", youngs_modulus=1e-313, poisson_ratio=0.3),)),
              NonFiniteResultError,
              "critical thicknesses [inf, inf] m leave the range of a double"),
+            # the thicknesses underflow at the first gap; the second gap's
+            # energies are -0.0, so a check of whole energy columns first
+            # would report that gap's sign instead
+            (dict(radius=1e12, half_span=1e-265, gap_min=1e6, gap_max=1e11, points=2,
+                  materials=(Material("x", youngs_modulus=1e308, poisson_ratio=0.3),)),
+             NonFiniteResultError,
+             "critical thicknesses [0.0, 0.0] m leave the range of a double"),
         ],
         ids=["contact", "half-radius", "past-radius", "integrals", "bending",
-             "bending-underflow", "thickness", "thickness-before-half-radius"],
+             "bending-underflow", "thickness", "thickness-before-half-radius",
+             "thickness-before-sign"],
     )
     def test_error_messages(self, overrides, error, message):
         with pytest.raises(error) as info:

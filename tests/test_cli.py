@@ -4,8 +4,9 @@ Everything runs in-process through main(argv) except the subprocess checks:
 `python -m arcplate` (whose output, files and exit code must match
 main()'s), the `arcplate` console script declared in
 pyproject.toml, launched by name through the same launcher pip writes on
-install, the import of arcplate.cli without numpy, and the stderr of
-commands that must not warn about materials they do not use. All import the
+install, the import of arcplate.cli without numpy, the stderr of
+commands that must not warn about materials they do not use, and the
+length-unit messages under two hash seeds. All import the
 arcplate package this suite imported, so none needs an install.
 """
 
@@ -121,6 +122,22 @@ class TestParseLength:
 
         with pytest.raises(argparse.ArgumentTypeError):
             parse_length(text)
+
+    @pytest.mark.parametrize("text", ["3", "3xm"], ids=["no-unit", "unknown-unit"])
+    def test_unit_list_does_not_depend_on_the_hash_seed(self, tmp_path, text):
+        """Both messages that list the units list them in one order, which
+        string hashing, randomised per process by PYTHONHASHSEED, cannot change."""
+        stderr = []
+        for seed in ("1", "2"):
+            env = subprocess_env()
+            env["PYTHONHASHSEED"] = seed
+            result = subprocess.run(
+                [sys.executable, "-m", "arcplate", "sweep", "--gap-min", text],
+                capture_output=True, timeout=60, env=env, cwd=tmp_path,
+            )
+            assert result.returncode == EXIT_USAGE
+            stderr.append(result.stderr)
+        assert stderr[0] == stderr[1]
 
 
 class TestParseModel:
