@@ -162,13 +162,17 @@ def arc_energy(geom: ArcGeometry, model: EnergyModel) -> float:
     positive, so kappa = 0 returns I0 exactly.
 
     Raises PfaViolationError when gap/radius reaches the 0.5 hard threshold
-    of validate_pfa(), and NonFiniteResultError when the integrals leave the
-    range of a double; contact is already excluded by the geometry.
+    of validate_pfa(), and NonFiniteResultError when the integrals or the
+    energy leave the range of a double; contact is already excluded by the
+    geometry.
     """
     i0s, i1s, error = geom._integrals([geom.gap])
     if error is not None:
         raise error
-    return _energies(i0s, i1s, [model])[0][0]
+    return _in_range(
+        lambda: _energies(i0s, i1s, [model])[0][0], -1.0,
+        lambda _: f"arc energy at radius {geom.radius} m, gap {geom.gap} m out of double range",
+    )
 
 
 def _energies(i0s: list[float], i1s: list[float],

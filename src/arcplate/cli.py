@@ -302,26 +302,40 @@ def _write_all(files: list[tuple[Path, str]]) -> None:
     Each text first goes to a temporary file beside its path, named with
     this process's id. Once all are written they replace their paths, the
     last first, so the first path appears only after the others are in
-    place. On any error the temporaries, and any path already replaced,
-    are removed, and an OSError names the path given, not the temporary.
+    place. Until then an earlier file at a path already replaced waits
+    under its temporary's name with .old for .tmp. On any error the
+    temporaries, and any path already replaced, are removed, each earlier
+    file gets its name back, and an OSError names the path given, not the
+    temporary.
     """
     temps: list[Path] = []
     placed: list[Path] = []
+    earlier: list[tuple[Path, Path]] = []  # (path, where its earlier file waits)
     try:
         for path, text in files:
             temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
             with open(temp, "w", encoding="utf-8") as f:
                 temps.append(temp)
                 f.write(text)
-        for (path, _), temp in reversed(list(zip(files, temps))):
+        pending = list(zip(files, temps))
+        while pending:
+            (path, _), temp = pending.pop()
+            if pending and path.is_file():  # a later replace can still fail
+                old = temp.with_suffix(".old")
+                os.replace(path, old)
+                earlier.append((path, old))
             os.replace(temp, path)
             placed.append(path)
     except BaseException as exc:
         for name in temps + placed:
             name.unlink(missing_ok=True)
+        for name, old in earlier:
+            os.replace(old, name)
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
+    for _, old in earlier:
+        old.unlink()
 
 
 def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:

@@ -66,12 +66,14 @@ class Frozen:
     __delattr__ = __setattr__
 
 
-def _check_gap_ratio(gap: float, radius: float) -> None:
+def _gap_ratio_error(gap: float, radius: float) -> PfaViolationError | None:
+    """The error of a gap at or beyond the radius, or None."""
     if gap / radius >= 1.0:
-        raise PfaViolationError(
+        return PfaViolationError(
             f"gap/radius = {gap / radius:.3g} >= 1; the local "
             "parallel-plate picture has no meaning here"
         )
+    return None
 
 
 class PfaReport(Frozen):
@@ -89,15 +91,12 @@ class PfaReport(Frozen):
 
 
 class ArcGeometry(Frozen):
-    """The terms of the arc integrals that do not depend on the gap (the
-    sagitta, T = tan(theta_max/2), 1 + T^2 and atanh T) are derived once, on
-    construction and on restoring a copy or pickle; _integrals(gaps) does the
-    rest for a whole column of gaps, so one geometry and one call serve a
+    """An arc of radius R over a plate: R, y_max (half the span) and the gap g
+    at the arc's center (see above), m. _integrals(gaps) evaluates the arc
+    integrals for a whole column of gaps, so one geometry and one call serve a
     whole sweep."""
 
-    # R, y_max, g (see above), m; then the derived terms, set by _derive
-    __slots__ = ("radius", "half_span", "gap", "sagitta", "_t", "_one_plus_t2", "_atanh_t")
-    __match_args__ = __slots__[:3]
+    __slots__ = __match_args__ = ("radius", "half_span", "gap")
 
     def __init__(self, radius: float, half_span: float, gap: float) -> None:
         self._set((radius, half_span, gap))
@@ -110,29 +109,30 @@ class ArcGeometry(Frozen):
             )
         if not (self.gap > 0.0 and math.isfinite(self.gap)):
             raise NonPositiveGapError(f"gap must be positive, got {self.gap}")
-        _check_gap_ratio(self.gap, self.radius)
-        self._derive()
-        if not math.isfinite(self.sagitta):  # R^2 and y_max^2 both overflowed
+        error = _gap_ratio_error(self.gap, self.radius)
+        if error is not None:
+            raise error
+        sagitta = self.sagitta
+        if not math.isfinite(sagitta):  # R^2 and y_max^2 both overflowed
             raise NonFiniteResultError(f"sagitta at radius {self.radius} m, half-span "
                                        f"{self.half_span} m out of double range")
-        if self.gap <= self.sagitta:
+        if self.gap <= sagitta:
             raise ContactViolationError(
                 f"gap {self.gap:.6g} m does not clear the sagitta "
-                f"{self.sagitta:.6g} m; the arc would touch the plate"
+                f"{sagitta:.6g} m; the arc would touch the plate"
             )
 
-    def __setstate__(self, state: tuple) -> None:
-        self._set(state)
-        self._derive()
+    @property
+    def sagitta(self) -> float:
+        """Height of the arc over its chord, m: how much closer its edges sit."""
+        return self._sagitta_and_t()[0]
 
-    def _derive(self) -> None:
+    def _sagitta_and_t(self) -> tuple[float, float]:
+        """(sagitta, T = tan(theta_max/2)): y_max^2 / root and y_max / root with
+        root = R + sqrt(R^2 - y_max^2), so no cancellation for R >> y_max."""
         R, Y = self.radius, self.half_span
         root = R + math.sqrt(R * R - Y * Y)
-        T = Y / root
-        # sagitta y_max^2 / (R + sqrt(R^2 - y_max^2)): no cancellation for R >> y_max
-        terms = (Y * Y / root, T, 1.0 + T * T, math.atanh(T))
-        for name, value in zip(ArcGeometry.__slots__[3:], terms, strict=True):
-            object.__setattr__(self, name, value)
+        return Y * Y / root, Y / root
 
     def _integrals(self, gaps: Sequence[float]) -> tuple[
             list[float], list[float], PfaViolationError | NonFiniteResultError | None]:
@@ -166,50 +166,48 @@ class ArcGeometry(Frozen):
         """
         # the gap-independent terms, bound once per call; per gap, every
         # expression keeps the order of operations of the formulas above
-        R, T, sagitta = self.radius, self._t, self.sagitta
-        one_plus_t2, atanh_t = self._one_plus_t2, self._atanh_t
+        R = self.radius
+        sagitta, T = self._sagitta_and_t()
+        one_plus_t2, atanh_t = 1.0 + T * T, math.atanh(T)
         two_r, four_r = 2.0 * R, 4.0 * R
         sqrt, log1p, isfinite = math.sqrt, math.log1p, math.isfinite
         i0s: list[float] = []
         i1s: list[float] = []
-        try:
-            for g in gaps:
-                ratio = g / R
-                if ratio >= PFA_FAIL_RATIO:
-                    _check_gap_ratio(g, R)
-                    raise PfaViolationError(
-                        f"gap/radius = {ratio:.3g} >= 0.5; the arc energy is not "
-                        "evaluated beyond the proximity approximation's hard threshold"
-                    )
-                B = (two_r - g) / g
-                b = sqrt(B)
-                # w = 1 - B T^2, written through the sagitta so that it is positive
-                # exactly when the geometry clears the plate
-                w = (g - sagitta) * one_plus_t2 / g
-                # atanh(bT)/b, via log1p: the plain log loses digits when bT is small
-                k1 = log1p(2.0 * b * T * (1.0 + b * T) / w) / (2.0 * b)
-                k2 = T / (2.0 * w) + 0.5 * k1
-                k3 = T / (4.0 * w * w) + 0.75 * k2
-                D = 2.0 * (R - g) / g  # B - 1, > 2 below the hard threshold
-                BB, BD = B * B, B * D
-                try:  # g**3 can underflow to zero and the powers of B overflow
-                    scale = four_r / g**3
-                    i0 = scale * ((1.0 - 1.0 / BB) * k3 + (2.0 * k2 - k1) / BB)
-                    i1 = scale * (
-                        4.0 * (B + 1.0) / BD * k3
-                        - 4.0 * ((B + 1.0) ** 2 - 2.0) / (BD * D) * k2
-                        + 8.0 / D**3 * (B * k1 - atanh_t)
-                    )
-                except (OverflowError, ZeroDivisionError):
-                    i0 = i1 = math.nan
-                if not (i0 > 0.0 and isfinite(i0 + i1)):
-                    raise NonFiniteResultError(
-                        f"arc integrals at radius {R} m, gap {g} m out of double range"
-                    )
-                i0s.append(i0)
-                i1s.append(i1)
-        except (PfaViolationError, NonFiniteResultError) as error:
-            return i0s, i1s, error
+        for g in gaps:
+            ratio = g / R
+            if ratio >= PFA_FAIL_RATIO:
+                error = _gap_ratio_error(g, R) or PfaViolationError(
+                    f"gap/radius = {ratio:.3g} >= 0.5; the arc energy is not "
+                    "evaluated beyond the proximity approximation's hard threshold"
+                )
+                return i0s, i1s, error
+            B = (two_r - g) / g
+            b = sqrt(B)
+            # w = 1 - B T^2, written through the sagitta so that it is positive
+            # exactly when the geometry clears the plate
+            w = (g - sagitta) * one_plus_t2 / g
+            # atanh(bT)/b, via log1p: the plain log loses digits when bT is small
+            k1 = log1p(2.0 * b * T * (1.0 + b * T) / w) / (2.0 * b)
+            k2 = T / (2.0 * w) + 0.5 * k1
+            k3 = T / (4.0 * w * w) + 0.75 * k2
+            D = 2.0 * (R - g) / g  # B - 1, > 2 below the hard threshold
+            BB, BD = B * B, B * D
+            try:  # g**3 can underflow to zero and the powers of B overflow
+                scale = four_r / g**3
+                i0 = scale * ((1.0 - 1.0 / BB) * k3 + (2.0 * k2 - k1) / BB)
+                i1 = scale * (
+                    4.0 * (B + 1.0) / BD * k3
+                    - 4.0 * ((B + 1.0) ** 2 - 2.0) / (BD * D) * k2
+                    + 8.0 / D**3 * (B * k1 - atanh_t)
+                )
+            except (OverflowError, ZeroDivisionError):
+                i0 = i1 = math.nan
+            if not (i0 > 0.0 and isfinite(i0 + i1)):
+                return i0s, i1s, NonFiniteResultError(
+                    f"arc integrals at radius {R} m, gap {g} m out of double range"
+                )
+            i0s.append(i0)
+            i1s.append(i1)
         return i0s, i1s, None
 
     def arc_length(self) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 from arcplate.analysis import SweepRow, _bending_coefficient, fractional_deviation
 from arcplate.casimir import _ARC_COEF
 from arcplate.errors import NonFiniteResultError, NonNegativeEnergyError, PfaViolationError
-from arcplate.geometry import PFA_FAIL_RATIO, ArcGeometry, _check_gap_ratio
+from arcplate.geometry import PFA_FAIL_RATIO, ArcGeometry, _gap_ratio_error
 
 HBAR = 1.054571817e-34  # J*s
 C = 299792458.0  # m/s
@@ -144,21 +144,28 @@ def reference_sweep(config) -> tuple[list[SweepRow], float]:
 
 def reference_integrals(self: ArcGeometry, g: float) -> tuple[float, float]:
     """(I0, I1) of geometry self at gap g: the body of the one-gap
-    ArcGeometry._integrals(g) of arcplate 0.4.0, verbatim."""
+    ArcGeometry._integrals(g) of arcplate 0.4.0, verbatim, but for two
+    things. It derives the sagitta, T, 1 + T^2 and atanh T, which that
+    geometry stored, with the expressions that derived them, and it raises
+    the >= 1 error that _gap_ratio_error returns."""
     R = self.radius
     ratio = g / R
     if ratio >= PFA_FAIL_RATIO:
-        _check_gap_ratio(g, R)
+        error = _gap_ratio_error(g, R)
+        if error is not None:
+            raise error
         raise PfaViolationError(
             f"gap/radius = {ratio:.3g} >= 0.5; the arc energy is not "
             "evaluated beyond the proximity approximation's hard threshold"
         )
-    T = self._t
+    Y = self.half_span
+    root = R + math.sqrt(R * R - Y * Y)
+    sagitta, T = Y * Y / root, Y / root
     B = (2.0 * R - g) / g
     b = math.sqrt(B)
     # w = 1 - B T^2, written through the sagitta so that it is positive
     # exactly when the geometry clears the plate
-    w = (g - self.sagitta) * self._one_plus_t2 / g
+    w = (g - sagitta) * (1.0 + T * T) / g
     # atanh(bT)/b, via log1p: the plain log loses digits when bT is small
     k1 = math.log1p(2.0 * b * T * (1.0 + b * T) / w) / (2.0 * b)
     k2 = T / (2.0 * w) + 0.5 * k1
@@ -170,7 +177,7 @@ def reference_integrals(self: ArcGeometry, g: float) -> tuple[float, float]:
         i1 = scale * (
             4.0 * (B + 1.0) / (B * D) * k3
             - 4.0 * ((B + 1.0) ** 2 - 2.0) / (B * D * D) * k2
-            + 8.0 / D**3 * (B * k1 - self._atanh_t)
+            + 8.0 / D**3 * (B * k1 - math.atanh(T))
         )
     except (OverflowError, ZeroDivisionError):
         i0 = i1 = math.nan

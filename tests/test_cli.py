@@ -534,8 +534,9 @@ class TestSweepFiles:
 
     @pytest.mark.parametrize(
         "step, name",
-        [("write", "out.csv."), ("write", "out.meta.json."), ("replace", "out.meta.json")],
-        ids=["csv-write", "sidecar-write", "sidecar-replace"],
+        [("write", "out.csv."), ("write", "out.meta.json."), ("replace", "out.meta.json"),
+         ("replace", "out.csv")],
+        ids=["csv-write", "sidecar-write", "sidecar-replace", "csv-replace"],
     )
     def test_failed_rerun_keeps_the_earlier_pair(self, capsys, monkeypatch, tmp_path, step, name):
         assert self.sweep(capsys, tmp_path)[0] == EXIT_OK
@@ -787,10 +788,10 @@ class TestEnergy:
 
 
 class TestOutOfDoubleRange:
-    """Arc geometries whose integrals, bending coefficient or thickness leave
-    the range of a double, and plate and sphere separations whose closed
-    forms do, exit 3 with a message, not 0 with nan, inf or -0.0 and not 1
-    with a traceback."""
+    """Arc geometries whose integrals, energy, bending coefficient or
+    thickness leave the range of a double, and plate and sphere separations
+    whose closed forms do, exit 3 with a message, not 0 with nan, inf or
+    -0.0 and not 1 with a traceback."""
 
     @pytest.mark.parametrize(
         "geometry,gap",
@@ -825,6 +826,8 @@ class TestOutOfDoubleRange:
             ("--geometry", "parallel", "--quantity", "energy-density", "--gap", "1e-110m"),
             ("--geometry", "sphere", "--r", "1e300m", "--gap", "1e200m"),  # d * d overflows
             ("--geometry", "sphere", "--quantity", "force", "--r", "1e300m", "--gap", "1e200m"),
+            # the arc energy underflows to -0.0, though I0 and I1 are in range
+            ("--geometry", "arc", "--r", "1e12m", "--span", "2e-265m", "--gap", "1e11m"),
         ],
     )
     def test_closed_form_physics_error(self, capsys, argv):
