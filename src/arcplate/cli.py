@@ -114,6 +114,10 @@ def parse_model(token: str) -> EnergyModel:
             raise argparse.ArgumentTypeError(
                 f"bad epsilon {raw!r} in model {token!r}"
             ) from None
+        if eps == 0.0 and re.search("[1-9]", raw.partition("e")[0]):
+            raise argparse.ArgumentTypeError(
+                f"epsilon {raw!r} in model {token!r} underflows a double"
+            )
         try:
             return scaled_ntlo(eps)
         except ValueError as exc:
@@ -246,26 +250,27 @@ def _column_names(config: SweepConfig) -> list[tuple[str, str | None]]:
 
 def _render_sweep(
     names: list[tuple[str, str | None]], columns: list[list[float]]
-) -> tuple[str, list[list[str]]]:
+) -> tuple[str, list[list[str] | None]]:
     """The CSV text of a sweep's columns, named and ordered as _column_names
-    gives, and the repr of each value, column by column, for _rows_json.
+    gives, and the repr of each value of the CSV's columns, column by column,
+    with None for a column the CSV leaves out, which is left unformatted.
 
-    Each value is formatted once, by repr (which round-trips bit-exactly and
-    is also how json writes a finite float), and the same string goes to the
-    CSV cell and to the sidecar row.
+    Each value is formatted at most once, by repr (which round-trips
+    bit-exactly and is also how json writes a finite float), and the same
+    string goes to the CSV cell and to the sidecar row.
     """
-    texts = [list(map(repr, column)) for column in columns]
-    csv_texts = [text for text, (_, header) in zip(texts, names) if header is not None]
+    texts = [None if header is None else list(map(repr, column))
+             for column, (_, header) in zip(columns, names)]
     csv_lines = [",".join(header for _, header in names if header is not None)]
-    csv_lines += map(",".join, zip(*csv_texts))
+    csv_lines += map(",".join, zip(*(text for text in texts if text is not None)))
     return "\n".join(csv_lines) + "\n", texts
 
 
 def _rows_json(names: list[tuple[str, str | None]], texts: list[list[str]]) -> str:
-    """The sidecar's "rows" array as JSON text, from the reprs _render_sweep
-    made of the columns, laid out as json.dumps(..., indent=2) lays it out as
-    the value of a top-level key. Every column of a sweep is finite, so each
-    repr is what json writes."""
+    """The sidecar's "rows" array as JSON text, from the reprs of every
+    column, laid out as json.dumps(..., indent=2) lays it out as the value of
+    a top-level key. Every column of a sweep is finite, so each repr is what
+    json writes."""
     row = "{\n      " + ",\n      ".join(json.dumps(key) + ": %s" for key, _ in names) + "\n    }"
     return "[\n    " + ",\n    ".join(map(row.__mod__, zip(*texts))) + "\n  ]"
 
@@ -375,6 +380,7 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
         models=[m.label for m in config.models],
         csv_file=out.name,
     )
+    texts = [list(map(repr, c)) if t is None else t for t, c in zip(texts, columns)]
     sidecar_text = record.replace('"rows": []', '"rows": ' + _rows_json(names, texts), 1)
     _write_all([(out, text), (sidecar, sidecar_text + "\n")])
 
@@ -527,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--out",
         default=None,
-        help="CSV output path (stdout when omitted); a .meta.json sidecar "
+        help="CSV output path (stdout when omitted or -); a .meta.json sidecar "
         "with constants, geometry, materials, models and full rows is written next to it",
     )
 

@@ -5,6 +5,19 @@ catch the whole family; each also derives from the closest builtin so code
 that only knows the stdlib hierarchy still behaves sensibly.
 """
 
+__all__ = [
+    "ArcPlateError",
+    "ContactViolationError",
+    "NonPositiveGapError",
+    "PfaViolationError",
+    "NonPositiveThicknessError",
+    "NonNegativeEnergyError",
+    "NonFiniteResultError",
+    "ZeroReferenceError",
+    "MaterialNotFoundError",
+    "MaterialConfigError",
+]
+
 
 class ArcPlateError(Exception):
     """Base class for all library errors."""

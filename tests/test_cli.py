@@ -161,6 +161,26 @@ class TestParseModel:
             parse_model(text)
 
 
+class TestModelEpsilon:
+    """An epsilon is read as parse_length reads a length: text that names a
+    nonzero number but reads as 0.0 underflows, and is a usage error."""
+
+    @pytest.mark.parametrize("eps", ["1e-400", "0.00001E-400", "-2.5e-330"])
+    def test_underflow_is_a_usage_error(self, capsys, eps):
+        code, out, err = run_cli(capsys, "sweep", "--points", "2", "--models", f"scaled-ntlo:{eps}")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.endswith(f"error: argument --models: epsilon {eps.lower()!r} in model "
+                            f"'scaled-ntlo:{eps}' underflows a double\n")
+
+    @pytest.mark.parametrize("eps", ["0", "0.0e5", "0e-400", "000.000"])
+    def test_literal_zero_is_valid(self, capsys, eps):
+        code, out, _ = run_cli(capsys, "sweep", "--points", "2", "--models", f"scaled-ntlo:{eps}",
+                               "--materials", "gold")
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "gap_m,u_scaled_ntlo_0_J_per_m,t_max_au_m"
+
+
 class TestMaterialKey:
     def test_builtin_tokens(self):
         assert material_key("gold") == "au"
@@ -508,6 +528,43 @@ class TestSweepColumns:
         assert code == EXIT_OK
         assert out.splitlines()[0] == EXPECTED_HEADER
 
+    @pytest.mark.parametrize("out", [None, "s.csv"], ids=["stdout", "out"])
+    def test_formats_each_value_once_and_only_what_it_writes(
+        self, monkeypatch, capsys, tmp_path, out
+    ):
+        """Every value of every column goes through a float whose repr counts
+        its calls: a stdout sweep formats each CSV value once and no other
+        column, a sweep with --out each value of every column once."""
+        calls: list[int] = []  # repr calls per column, in the sidecar's order
+
+        def counted(column):
+            index = len(calls)
+            calls.append(0)
+
+            class Counted(float):
+                def __repr__(self):
+                    calls[index] += 1
+                    return float.__repr__(self)
+            return list(map(Counted, column))
+
+        columns = arcplate.cli._sweep_columns
+
+        def patched(config):
+            gaps, energies, thickness, delta, arc_length = columns(config)
+            return (counted(gaps), [counted(us) for us in energies],
+                    [counted(ts) for ts in thickness], counted(delta), arc_length)
+
+        monkeypatch.setattr(arcplate.cli, "_sweep_columns", patched)
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep", "--points", "7", "--models", "pfa,ntlo,scaled-ntlo:0.5",
+                "--materials", "gold,silver"]
+        code, _, _ = run_cli(capsys, *argv, *(["--out", out] if out else []))
+        assert code == EXIT_OK
+        # gap, 3 energies, 6 thicknesses (materials outermost), delta; the CSV
+        # keeps the reference model's (ntlo's) thickness per material
+        csv_columns = {0, 1, 2, 3, 5, 8, 10}
+        assert calls == [7 if out or i in csv_columns else 0 for i in range(11)]
+
 
 class TestSweepFiles:
     """--out writes the CSV and its sidecar all or none."""
@@ -559,6 +616,12 @@ class TestSweepFiles:
         assert err.startswith("error: [Errno 28] No space left on device: ")
         assert out == ""
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_dash_writes_to_stdout(self, capsys, tmp_path, monkeypatch):
+        _, stdout_csv, _ = run_cli(capsys, *self.ARGV)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *self.ARGV, "--out", "-") == (EXIT_OK, stdout_csv, "")
+        assert os.listdir(tmp_path) == []
 
     def test_good_run_writes_the_stdout_bytes(self, capsys, tmp_path):
         _, stdout_csv, _ = run_cli(capsys, *self.ARGV)
@@ -1400,6 +1463,29 @@ class TestPackaging:
         for name in namespace["__all__"]:
             assert name in namespace, name
         exec(f"from {module} import *", {})
+
+    MODULES = ("analysis", "casimir", "elasticity", "errors", "geometry")
+
+    def test_package_exports_its_modules_lists(self):
+        """arcplate.__all__ is each module's __all__, in module order, then
+        __version__: every public name is declared once, in its module."""
+        modules = [importlib.import_module(f"arcplate.{name}") for name in self.MODULES]
+        assert arcplate.__all__ == [name for m in modules for name in m.__all__] + ["__version__"]
+        assert len(set(arcplate.__all__)) == len(arcplate.__all__)
+
+    def test_exported_names_are_the_modules_objects(self):
+        for name in self.MODULES:
+            module = importlib.import_module(f"arcplate.{name}")
+            for public in module.__all__:
+                assert getattr(arcplate, public) is getattr(module, public), public
+
+    def test_errors_lists_every_error_it_defines(self):
+        import arcplate.errors
+
+        defined = [name for name, obj in vars(arcplate.errors).items()
+                   if inspect.isclass(obj) and issubclass(obj, arcplate.ArcPlateError)
+                   and obj.__module__ == "arcplate.errors"]
+        assert sorted(arcplate.errors.__all__) == sorted(defined)
 
     def test_public_annotations_resolve(self):
         for name in arcplate.__all__:
