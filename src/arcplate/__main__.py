@@ -1,8 +1,9 @@
 """`python -m arcplate` and the installed `arcplate` command."""
 
 import gc
+import sys
 
-from .cli import main
+from .cli import _stdout_closed, main
 
 
 def run() -> int:
@@ -14,8 +15,14 @@ def run() -> int:
     and the command built; the operating system reclaims it. atexit handlers
     and the flush of stdout and stderr still run. cli.main() itself leaves
     the collector alone, so library callers and tests keep a normal one.
+    stdout is flushed here, where a reader that has left can still be told
+    from a config error, as in main().
     """
     code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _stdout_closed()
     gc.freeze()
     return code
 

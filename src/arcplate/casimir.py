@@ -78,8 +78,9 @@ NTLO = EnergyModel("ntlo", "ntlo", 1.0)
 
 def scaled_ntlo(epsilon: float) -> EnergyModel:
     """Gradient correction scaled by epsilon in [0, 1], named by epsilon's %g
-    text, or by its repr where that text reads back as another float."""
-    weight = float(epsilon)
+    text, or by its repr where that text reads back as another float; -0
+    is the model 0."""
+    weight = float(epsilon) + 0.0
     name = f"{weight:g}" if float(f"{weight:g}") == weight else repr(weight)
     return EnergyModel(f"scaled-ntlo({name})", f"scaled_ntlo_{name}", weight)
 

@@ -4,7 +4,8 @@ Subcommands: sweep (gap grid -> CSV + JSON metadata sidecar), energy (single
 value, JSON to stdout), validate (geometry and thin-plate report), materials
 (list/show the material table, optionally merged with a JSON config file).
 
-Exit codes: 0 ok, 2 usage, 3 physics precondition, 4 config-file problem.
+Exit codes: 0 ok, 1 stdout closed by its reader, 2 usage, 3 physics
+precondition, 4 config-file problem.
 Flag values carrying a length must be unit-suffixed (0.1um, 100nm); bare
 numbers are rejected. CSV bodies are byte-deterministic for identical flags;
 timestamps only ever appear in JSON metadata.
@@ -13,7 +14,6 @@ timestamps only ever appear in JSON metadata.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -43,6 +43,7 @@ from .geometry import ArcGeometry
 SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
+EXIT_STDOUT_CLOSED = 1  # as a Python program whose stdout pipe broke
 EXIT_USAGE = 2
 EXIT_PHYSICS = 3
 EXIT_CONFIG = 4
@@ -155,6 +156,7 @@ def material_table(path: str | None) -> dict[str, dict]:
     table = dict(_BUILTINS)
     if not path:
         return table
+    import json  # here: a sweep to stdout and validate read no file and load no json
 
     def fields_once(pairs: list[tuple[str, object]]) -> dict:
         seen = set()
@@ -271,6 +273,8 @@ def _rows_json(names: list[tuple[str, str | None]], texts: list[list[str]]) -> s
     column, laid out as json.dumps(..., indent=2) lays it out as the value of
     a top-level key. Every column of a sweep is finite, so each repr is what
     json writes."""
+    import json
+
     row = "{\n      " + ",\n      ".join(json.dumps(key) + ": %s" for key, _ in names) + "\n    }"
     return "[\n    " + ",\n    ".join(map(row.__mod__, zip(*texts))) + "\n  ]"
 
@@ -279,7 +283,8 @@ def make_record(argv: Sequence[str], rows: list[dict], **metadata: object) -> st
     """The JSON text, json.dumps(record, indent=2), of a command's record:
     its rows, and metadata holding the constants, then ``metadata`` in the
     order given, then the time."""
-    import shlex  # here, not at module level: only a record needs these two
+    import json  # here, not at module level: only a record needs these three
+    import shlex
     from datetime import datetime, timezone
 
     record = {
@@ -579,6 +584,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_closed() -> int:
+    """EXIT_STDOUT_CLOSED, after pointing stdout at os.devnull so that the
+    flush at exit writes what is left nowhere, without another error. The
+    note on SIGPIPE in the signal module's documentation does the same."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return EXIT_STDOUT_CLOSED
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
@@ -594,6 +609,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         with warnings.catch_warnings():  # the caller's filters still apply
             warnings.showwarning = showwarning
             return args.run(args, argv)
+    except BrokenPipeError:  # an OSError, but the reader of stdout left, not a config
+        return _stdout_closed()
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

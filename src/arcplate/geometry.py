@@ -66,6 +66,52 @@ class Frozen:
     __delattr__ = __setattr__
 
 
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's TwoProduct,
+    each factor split in halves of 26 bits by Veltkamp's 2^27 + 1). Exact for
+    the mantissas in [0.5, 1) that _sagitta_step passes."""
+    p = a * b
+    c = 134217729.0 * a
+    a1 = c - (c - a)
+    c = 134217729.0 * b
+    b1 = c - (c - b)
+    a2, b2 = a - a1, b - b1
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _sagitta_step(R: float, Y: float, h: float) -> float:
+    """The Newton step from h > 0, or 0, toward s = Y^2 / (R + sqrt(R^2 - Y^2)),
+    the smaller root of f(s) = s^2 - 2R s + Y^2. f(h) is summed from the exact
+    pairs of its squares and product, each formed from its factors' mantissas
+    and scaled by 4^-e with Y = m 2^e, so that f(h) is accurate to a few ulps
+    however far it cancels. f is quadratic, so the step solves
+    f(h) + f'(h) step + step^2 = 0 to the second order."""
+    mr, er = math.frexp(R)
+    my, ey = math.frexp(Y)
+    mh, eh = math.frexp(h)
+    nb, nc = er + eh + 1 - 2 * ey, 2 * (eh - ey)
+    a, ae = _two_product(my, my)
+    b, be = _two_product(mr, mh)
+    c, ce = _two_product(mh, mh)
+    f, e1 = _two_sum(a, -math.ldexp(b, nb))
+    f, e2 = _two_sum(f, math.ldexp(c, nc))
+    f, e3 = _two_sum(f, ae)
+    f, e4 = _two_sum(f, -math.ldexp(be, nb))
+    f, e5 = _two_sum(f, math.ldexp(ce, nc))
+    f += (e1 + e2) + (e3 + e4 + e5)
+    d = R - h
+    md, ed = math.frexp(d)
+    step = math.ldexp(f / (2.0 * md), 2 * ey - ed)
+    return step + step * (0.5 * step / d)
+
+
 def _gap_ratio_error(gap: float, radius: float) -> PfaViolationError | None:
     """The error of a gap at or beyond the radius, or None."""
     if gap / radius >= 1.0:
@@ -112,27 +158,44 @@ class ArcGeometry(Frozen):
         error = _gap_ratio_error(self.gap, self.radius)
         if error is not None:
             raise error
-        sagitta = self.sagitta
-        if not math.isfinite(sagitta):  # R^2 and y_max^2 both overflowed
-            raise NonFiniteResultError(f"sagitta at radius {self.radius} m, half-span "
-                                       f"{self.half_span} m out of double range")
-        if self.gap <= sagitta:
+        hi, lo, _ = self._sagitta_and_t()
+        if (self.gap - hi) - lo <= 0.0:
             raise ContactViolationError(
                 f"gap {self.gap:.6g} m does not clear the sagitta "
-                f"{sagitta:.6g} m; the arc would touch the plate"
+                f"{hi:.6g} m; the arc would touch the plate"
             )
 
     @property
     def sagitta(self) -> float:
-        """Height of the arc over its chord, m: how much closer its edges sit."""
+        """Height of the arc over its chord, m: how much closer its edges sit.
+        The correctly rounded value; _sagitta_and_t() also gives the rest."""
         return self._sagitta_and_t()[0]
 
-    def _sagitta_and_t(self) -> tuple[float, float]:
-        """(sagitta, T = tan(theta_max/2)): y_max^2 / root and y_max / root with
-        root = R + sqrt(R^2 - y_max^2), so no cancellation for R >> y_max."""
+    def _sagitta_and_t(self) -> tuple[float, float, float]:
+        """(hi, lo, T): the sagitta as the unevaluated pair hi + lo, hi the
+        correctly rounded sagitta and lo the rest, and T = tan(theta_max/2).
+
+        With root = R + sqrt(R^2 - y_max^2), the sagitta is y_max^2 / root
+        and T = y_max / root, so no cancellation for R >> y_max. The root is
+        formed from r = R / 2^k and y = y_max / 2^k, with r in [0.5, 1), and
+        y_max^2 from y_max's mantissa, so that no square leaves a double's
+        range. T is scale-free and gets the bits of the unscaled formula
+        wherever that formula's squares are normal. The float sagitta, within
+        a few ulps, then takes two Newton steps on s^2 - 2R s + y_max^2 = 0,
+        whose smaller root it is: the first rounds to hi, and the second, from
+        hi, is lo. hi + lo is within about 2^-105 of the sagitta, relative,
+        and lo within a few ulps of itself, wherever hi is normal. A sagitta
+        below the least double reads 0."""
         R, Y = self.radius, self.half_span
-        root = R + math.sqrt(R * R - Y * Y)
-        return Y * Y / root, Y / root
+        r, k = math.frexp(R)
+        y = math.ldexp(Y, -k)
+        t = y / (r + math.sqrt(r * r - y * y))
+        # the start of the steps takes r^2 - y^2 as (r - y)(r + y), whose
+        # digits survive as y nears r; T keeps the float formula's bits
+        m, j = math.frexp(Y)
+        hi = math.ldexp(m * m / (r + math.sqrt((r - y) * (r + y))), 2 * j - k)
+        hi += _sagitta_step(R, Y, hi)
+        return hi, _sagitta_step(R, Y, hi), t
 
     def _integrals(self, gaps: Sequence[float]) -> tuple[
             list[float], list[float], PfaViolationError | NonFiniteResultError | None]:
@@ -167,7 +230,7 @@ class ArcGeometry(Frozen):
         # the gap-independent terms, bound once per call; per gap, every
         # expression keeps the order of operations of the formulas above
         R = self.radius
-        sagitta, T = self._sagitta_and_t()
+        hi, lo, T = self._sagitta_and_t()
         one_plus_t2, atanh_t = 1.0 + T * T, math.atanh(T)
         two_r, four_r = 2.0 * R, 4.0 * R
         sqrt, log1p, isfinite = math.sqrt, math.log1p, math.isfinite
@@ -184,8 +247,9 @@ class ArcGeometry(Frozen):
             B = (two_r - g) / g
             b = sqrt(B)
             # w = 1 - B T^2, written through the sagitta so that it is positive
-            # exactly when the geometry clears the plate
-            w = (g - sagitta) * one_plus_t2 / g
+            # exactly when the geometry clears the plate; near contact g - hi is
+            # exact, and lo carries the sagitta's bits beyond hi's
+            w = ((g - hi) - lo) * one_plus_t2 / g
             # atanh(bT)/b, via log1p: the plain log loses digits when bT is small
             k1 = log1p(2.0 * b * T * (1.0 + b * T) / w) / (2.0 * b)
             k2 = T / (2.0 * w) + 0.5 * k1
@@ -223,4 +287,5 @@ class ArcGeometry(Frozen):
             status = "warn"
         else:
             status = "pass"
-        return PfaReport(ratio=ratio, status=status, contact_margin=self.gap - self.sagitta)
+        hi, lo, _ = self._sagitta_and_t()
+        return PfaReport(ratio=ratio, status=status, contact_margin=(self.gap - hi) - lo)

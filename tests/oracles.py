@@ -8,7 +8,8 @@ evaluated twice. There are two exceptions. reference_sweep pins the order of
 a sweep's rows and errors, not its arithmetic, and so calls the package's arc
 integrals and bending coefficient. reference_integrals is the arc-integral
 closed form as it was written for one gap at a time (arcplate 0.4.0), kept
-verbatim so that the column kernel can be held to its bits and its errors.
+verbatim but for the sagitta pair, so that the column kernel can be held to
+its bits and its errors.
 """
 
 import math
@@ -82,6 +83,22 @@ def mpmath_arc_energy(radius: float, half_span: float, gap: float, kappa: float)
         return float(-mp.mpf(ARC_COEF) * ((1 - weight) * i0 + weight * i_sec))
 
 
+def mpmath_ntlo_integral(radius: float, half_span: float, gap: float) -> float:
+    """I0 + (2/3) I1 at 40 digits, from the exact values of the float inputs:
+    the integral of the ntlo energy, (1/3) I0 + (2/3)(I0 + I1)."""
+    with mp.workdps(40):
+        i0, i_sec = _mpmath_arc_integrals(radius, half_span, gap)
+        return float((i0 + 2 * i_sec) / 3)
+
+
+def mpmath_sagitta(radius: float, half_span: float, bits: int = 256) -> mp.mpf:
+    """Y^2 / (R + sqrt(R^2 - Y^2)) at the given precision, from the exact
+    values of the float inputs."""
+    with mp.workprec(bits):
+        R, Y = mp.mpf(radius), mp.mpf(half_span)
+        return +(Y * Y / (R + mp.sqrt(R * R - Y * Y)))
+
+
 def mpmath_gradient_correction(radius: float, half_span: float, gap: float) -> float:
     """(U_ntlo - U_pfa) / U_pfa at 40 digits: (2/3) integral psi'^2/psi^3 over
     integral 1/psi^3."""
@@ -144,10 +161,10 @@ def reference_sweep(config) -> tuple[list[SweepRow], float]:
 
 def reference_integrals(self: ArcGeometry, g: float) -> tuple[float, float]:
     """(I0, I1) of geometry self at gap g: the body of the one-gap
-    ArcGeometry._integrals(g) of arcplate 0.4.0, verbatim, but for two
-    things. It derives the sagitta, T, 1 + T^2 and atanh T, which that
-    geometry stored, with the expressions that derived them, and it raises
-    the >= 1 error that _gap_ratio_error returns."""
+    ArcGeometry._integrals(g) of arcplate 0.4.0, verbatim, but for three
+    things. It derives T, 1 + T^2 and atanh T, which that geometry stored,
+    from _sagitta_and_t(), it takes the sagitta as the pair hi + lo from
+    there too, and it raises the >= 1 error that _gap_ratio_error returns."""
     R = self.radius
     ratio = g / R
     if ratio >= PFA_FAIL_RATIO:
@@ -158,14 +175,12 @@ def reference_integrals(self: ArcGeometry, g: float) -> tuple[float, float]:
             f"gap/radius = {ratio:.3g} >= 0.5; the arc energy is not "
             "evaluated beyond the proximity approximation's hard threshold"
         )
-    Y = self.half_span
-    root = R + math.sqrt(R * R - Y * Y)
-    sagitta, T = Y * Y / root, Y / root
+    hi, lo, T = self._sagitta_and_t()
     B = (2.0 * R - g) / g
     b = math.sqrt(B)
     # w = 1 - B T^2, written through the sagitta so that it is positive
     # exactly when the geometry clears the plate
-    w = (g - sagitta) * (1.0 + T * T) / g
+    w = ((g - hi) - lo) * (1.0 + T * T) / g
     # atanh(bT)/b, via log1p: the plain log loses digits when bT is small
     k1 = math.log1p(2.0 * b * T * (1.0 + b * T) / w) / (2.0 * b)
     k2 = T / (2.0 * w) + 0.5 * k1

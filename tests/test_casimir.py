@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arcplate import (
@@ -30,6 +30,8 @@ from oracles import (
     midpoint_arc_energy,
     mpmath_arc_energy,
     mpmath_gradient_correction,
+    mpmath_ntlo_integral,
+    mpmath_sagitta,
     reference_integrals,
 )
 from quadrature import GAUSS_CROSS_CHECK, QuadratureSpec, integrate
@@ -313,7 +315,9 @@ class TestArcEnergy:
         assert abs(arc_energy(arc(gap), model) - oracle) <= rel * abs(oracle)
 
     @pytest.mark.parametrize(
-        "radius,half_span,gap", [(1.0, 1e-4, 0.49), (1.0, Y_MAX, 0.5e-6), (1e-3, 1e-7, 4e-4)]
+        "radius,half_span,gap",
+        [(1.0, 1e-4, 0.49), (1.0, Y_MAX, 0.5e-6), (1e-3, 1e-7, 4e-4),
+         (1e160, 0.5, 1e60)],  # R*R overflows, but T and the sagitta do not
     )
     def test_matches_mpmath_oracle_far_from_contact(self, radius, half_span, gap):
         # b*T, about sqrt(sagitta/gap), is small here, where atanh(bT) through a
@@ -355,6 +359,23 @@ class TestArcEnergy:
             oracle = mpmath_arc_energy(radius, half_span, gap, model.gradient_weight)
             assert abs(arc_energy(geom, model) - oracle) <= 1e-10 * abs(oracle)
 
+    @settings(max_examples=60, deadline=None)
+    @given(radius=RADII, ratio=SPAN_RATIOS, excess=st.floats(0.0, 1e-6))
+    @example(radius=R, ratio=Y_MAX / R, excess=0.0)
+    def test_closed_form_property_at_contact(self, radius, ratio, excess):
+        # gaps from the first double above the exact sagitta to 1 + 1e-6 times
+        # it, where g - sagitta cancels: up from the float formula's sagitta,
+        # which is a few ulps off, to the first double that clears the plate
+        half_span = radius * ratio
+        exact = mpmath_sagitta(radius, half_span)
+        gap = math.nextafter(sagitta(radius, half_span) * (1.0 + excess), math.inf)
+        while gap <= exact:
+            gap = math.nextafter(gap, math.inf)
+        (i0,), (i1,), error = ArcGeometry(radius, half_span, gap)._integrals([gap])
+        assert error is None
+        oracle = mpmath_ntlo_integral(radius, half_span, gap)
+        assert abs(i0 + (2.0 / 3.0) * i1 - oracle) <= 1e-15 * oracle
+
     @settings(max_examples=200, deadline=None)
     @given(radius=RADII, ratio=SPAN_RATIOS, exponent=st.integers(-140, 150),
            positions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
@@ -391,7 +412,6 @@ class TestArcEnergy:
             (1e-6, 1e-106, 5e-107),  # 4R/g**3 overflows: I0 = inf, I1 = nan
             (1e-6, 1e-60, 1e-110),  # g**3 underflows to zero
             (1e200, 0.5, 1e-3),  # (B + 1)**2 overflows
-            (1e160, 0.5, 1e60),  # R*R overflows, so T and I0 come out zero
         ],
     )
     @pytest.mark.parametrize("model", [PFA, NTLO])

@@ -181,6 +181,18 @@ class TestModelEpsilon:
         assert out.splitlines()[0] == "gap_m,u_scaled_ntlo_0_J_per_m,t_max_au_m"
 
 
+    def test_negative_zero_is_zero(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--points", "2", "--materials", "gold",
+                                 "--models", "scaled-ntlo:0,scaled-ntlo:-0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "duplicate" in err
+        code, out, _ = run_cli(capsys, "energy", "--geometry", "arc", "--gap", "0.1um",
+                               "--model", "scaled-ntlo:-0")
+        assert code == EXIT_OK
+        assert json.loads(out)["rows"][0]["model"] == "scaled-ntlo(0)"
+
+
 class TestMaterialKey:
     def test_builtin_tokens(self):
         assert material_key("gold") == "au"
@@ -461,11 +473,11 @@ class TestSweepOutputContract:
         assert run_cli(capsys, "sweep", "--out", "o.csv")[0] == EXIT_OK
         sidecar = re.sub(r'"timestamp_utc": "[^"]*"', '"timestamp_utc": ""',
                          Path("o.meta.json").read_text())
-        csv_hash = "3a973d6ef2cfecd44cc79feed6bf817d507ac04b88018d150ebd05007912d5a7"
+        csv_hash = "e3445fc4582470345339af3592ce923466866a1cacc16687c4abf3ddf7c51d8e"
         assert hashlib.sha256(out.encode()).hexdigest() == csv_hash
         assert hashlib.sha256(Path("o.csv").read_bytes()).hexdigest() == csv_hash
         assert hashlib.sha256(sidecar.encode()).hexdigest() == (
-            "25a72e2dad3ca8f6395120bbb18f2f9d79c4db753169746636ee6b7693a2bff3"
+            "5590b266684ed3d9edf4652c4892ee0f91bb80f40062ba1c0e8859628581b5cc"
         )
 
     def test_rows_placeholder_in_the_command_line(self, capsys, tmp_path, monkeypatch):
@@ -863,7 +875,6 @@ class TestOutOfDoubleRange:
             (("--r", "1um", "--span", "2e-60m"), "1e-110m"),  # g**3 underflows to 0
             (("--r", "1e200m", "--span", "1m"), "1mm"),  # R**2 and (B + 1)**2 overflow
             (("--r", "1e-170m", "--span", "1e-175m"), "1e-172m"),  # R**2 underflows to 0
-            (("--r", "1e200m", "--span", "1e170m"), "1um"),  # R**2 and y_max**2 overflow
         ],
     )
     @pytest.mark.parametrize(
@@ -880,6 +891,22 @@ class TestOutOfDoubleRange:
         assert code == EXIT_PHYSICS
         assert out == ""
         assert err.startswith("error: ") and "double" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("sweep", "--points", "1", "--gap-min", "1um", "--gap-max", "1um"),
+            ("energy", "--geometry", "arc", "--gap", "1um"),
+            ("energy", "--geometry", "arc", "--model", "pfa", "--gap", "1um"),
+        ],
+    )
+    def test_contact_where_the_squares_overflow(self, capsys, command):
+        # R**2 and y_max**2 overflow, but the sagitta, 1.25e139 m, is a double
+        code, out, err = run_cli(capsys, *command, "--r", "1e200m", "--span", "1e170m")
+        assert code == EXIT_PHYSICS
+        assert out == ""
+        assert err.endswith("error: gap 1e-06 m does not clear the sagitta 1.25e+139 m; "
+                            "the arc would touch the plate\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -1210,17 +1237,27 @@ class TestValidate:
         assert "error:" in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,sagitta",
         [
-            ("--gap", "0.1um", "--r", "1e308m", "--span", "1e308m"),
-            ("--r", "1e200m", "--span", "1e170m", "--gap", "1um"),  # sagitta 1.25e139 m
+            pytest.param(("--gap", "0.1um", "--r", "1e308m", "--span", "1e308m"),
+                         "1.33975e+307", id="argv0"),
+            pytest.param(("--r", "1e200m", "--span", "1e170m", "--gap", "1um"),
+                         "1.25e+139", id="argv1"),
+            # the float formula read 0 for these two, so validate passed them
+            pytest.param(("--r", "1e200m", "--span", "2e150m", "--gap", "1um"),
+                         "5e+99", id="argv2"),
+            pytest.param(("--gap", "1e-302m", "--r", "1e-200m", "--span", "1e-250m",
+                          "--thickness", "1e-320m"), "1.25e-301", id="argv3"),
         ],
     )
-    def test_sagitta_out_of_double_range(self, capsys, argv):
+    def test_sagitta_out_of_double_range(self, capsys, argv, sagitta):
+        # R**2 or y_max**2 leaves a double's range, but the sagitta does not
         code, out, err = run_cli(capsys, "validate", *argv)
         assert code == EXIT_PHYSICS
         assert out == ""
-        assert err.startswith("error: sagitta at radius ") and "double" in err
+        assert err.startswith("error: gap ")
+        assert err.endswith(f" does not clear the sagitta {sagitta} m; "
+                            "the arc would touch the plate\n")
 
 
 class TestMaterials:
@@ -1592,11 +1629,62 @@ class TestConsoleScript:
         if "'energy'" not in command:
             assert not added & {"datetime", "shlex"}
 
+    @pytest.mark.parametrize(
+        "argv,loaded",
+        [(["sweep", "--points", "2"], False), (["validate"], False),
+         (["sweep", "--points", "2", "--out", "o.csv"], True)],
+        ids=["stdout-sweep", "validate", "sweep-out"],
+    )
+    def test_json_is_loaded_only_for_json(self, tmp_path, argv, loaded):
+        """Without site (-S), whose .pth files may load json, only a command
+        that reads or writes JSON loads the json module."""
+        script = (
+            "import contextlib, io, sys\nfrom arcplate.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
+            "print('json' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            cwd=tmp_path,
+            env=subprocess_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"{loaded}\n"
+
 
 class TestProcessExit:
     """`python -m arcplate` exits through arcplate.__main__.run, which freezes
     the collector once main() returns, so that interpreter teardown skips
     the heap. What the process writes and returns is what main() does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("sweep",), ("energy", "--geometry", "arc", "--gap", "0.1um"),
+         ("materials", "show", "gold")],
+        ids=["sweep", "energy", "materials-show"],
+    )
+    def test_closed_stdout_exits_1_without_an_error(self, argv):
+        """A reader that closes the pipe before the command writes, as
+        `| head -0` can, is not a config error: exit 1, as Python's own
+        exit on a broken stdout, with no error line and no traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "arcplate", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+                env=subprocess_env(),
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert "error" not in result.stderr and "Traceback" not in result.stderr
 
     CASES = {
         "stdout-sweep": (EXIT_OK, ("sweep", "--points", "3")),

@@ -3,18 +3,21 @@ evenness/odd-slope/sagitta properties."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from arcplate.errors import (
     ContactViolationError,
-    NonFiniteResultError,
     NonPositiveGapError,
     PfaViolationError,
 )
 from arcplate.geometry import PFA_FAIL_RATIO, PFA_WARN_RATIO, ArcGeometry
 
 from arc_profile import OutOfSpanError, separation, slope
+from oracles import mpmath_sagitta
 from quadrature import DEFAULT_SPEC, GAUSS_CROSS_CHECK, QuadratureSpec, integrate
 
 R = 100e-6  # m
@@ -54,9 +57,16 @@ class TestConstruction:
             arc(40e-9)
 
     def test_gap_equal_to_sagitta_touches(self):
-        sagitta = Y_MAX**2 / (R + math.sqrt(R * R - Y_MAX * Y_MAX))
+        # the exact sagitta lies between these two doubles: the lower touches,
+        # and the upper, which the float formula Y^2 / (R + sqrt(R^2 - Y^2))
+        # gives as the sagitta, clears the plate by a fraction of an ulp
+        below, above = 4.5010129558814504e-08, 4.501012955881451e-08
+        assert above == math.nextafter(below, 1.0)
+        with mp.workprec(256):
+            assert below < mpmath_sagitta(R, Y_MAX) < above
         with pytest.raises(ContactViolationError):
-            arc(sagitta)
+            arc(below)
+        assert arc(above).validate_pfa().contact_margin > 0.0
 
     def test_gap_ratio_one_is_hard_pfa_violation(self):
         with pytest.raises(PfaViolationError):
@@ -64,13 +74,29 @@ class TestConstruction:
 
     @pytest.mark.parametrize("radius,half_span", [(1e308, 5e307), (1e200, 5e169)])
     def test_sagitta_out_of_double_range(self, radius, half_span):
-        # R**2 and y_max**2 both overflow, so the float sagitta is nan; the
-        # second arc's true sagitta, 1.25e139 m, would touch the plate
-        with pytest.raises(NonFiniteResultError) as info:
+        # R**2 and y_max**2 both overflow, but the sagitta, 1.34e307 m and
+        # 1.25e139 m, is a double, and the arc touches the plate
+        with pytest.raises(ContactViolationError) as info:
             ArcGeometry(radius=radius, half_span=half_span, gap=1e-6)
         assert str(info.value) == (
-            f"sagitta at radius {radius} m, half-span {half_span} m out of double range"
+            f"gap 1e-06 m does not clear the sagitta "
+            f"{float(mpmath_sagitta(radius, half_span)):.6g} m; the arc would touch the plate"
         )
+
+    @pytest.mark.parametrize(
+        "radius,half_span,gap",
+        [(1e200, 1e150, 1e-6),  # R**2 overflows: the float formula reads 0, not 5e99 m
+         (1e-200, 5e-251, 1e-302)],  # y_max**2 underflows: 0, not 1.25e-301 m
+    )
+    def test_contact_where_the_float_sagitta_reads_zero(self, radius, half_span, gap):
+        with pytest.raises(ContactViolationError, match="does not clear the sagitta"):
+            ArcGeometry(radius=radius, half_span=half_span, gap=gap)
+
+    def test_zero_sagitta_is_accepted(self):
+        # 5e-341 m, correctly rounded to 0, so the least double clears it
+        geom = arc(5e-324, radius=1.0, half_span=1e-170)
+        assert geom._sagitta_and_t()[:2] == (0.0, 0.0)
+        assert geom.validate_pfa().contact_margin == 5e-324
 
     def test_large_but_legal_ratio_constructs(self):
         # 0.6 is reportable as fail but must remain constructible
@@ -153,6 +179,29 @@ class TestSagittaAndArcLength:
         assert geom.sagitta == pytest.approx(Y_MAX**2 / 2.0, rel=1e-3)
         # and still close (2.3e-4) for the default curvature
         assert arc(0.1e-6).sagitta == pytest.approx(Y_MAX**2 / (2.0 * R), rel=1e-3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_radius=st.floats(-300.0, 300.0),
+           ratio=st.one_of(st.floats(-300.0, math.log10(0.5)).map(lambda e: 10.0**e),
+                           st.floats(-16.0, math.log10(0.5)).map(lambda e: 1.0 - 10.0**e)))
+    @example(log_radius=200.0, ratio=5e-51)  # R*R overflows
+    @example(log_radius=-200.0, ratio=5e-51)  # y_max*y_max underflows
+    @example(log_radius=200.0, ratio=5e-31)  # both overflow
+    def test_sagitta_pair(self, log_radius, ratio):
+        # hi is the correctly rounded sagitta, hi + lo is within 2^-100 of it,
+        # and lo within a few ulps of the rest, so that w near contact keeps
+        # its digits; wherever the sagitta is normal with 2^-100 to spare
+        radius = 10.0**log_radius
+        half_span = radius * ratio
+        assume(0.0 < half_span < radius)
+        with mp.workprec(256):
+            exact = mpmath_sagitta(radius, half_span)
+            assume(exact >= mp.mpf(2) ** -920)
+            hi, lo, _ = arc(math.nextafter(radius, 0.0), radius, half_span)._sagitta_and_t()
+            neighbours = math.nextafter(hi, 0.0), math.nextafter(hi, math.inf)
+            assert all(abs(exact - hi) <= abs(exact - other) for other in neighbours)
+            assert abs(hi + mp.mpf(lo) - exact) < mp.mpf(2) ** -100 * exact
+            assert abs(exact - hi - lo) <= 8 * math.ulp(lo)
 
     def test_arc_length_frozen_value(self):
         # closed form 2 R arcsin(y_max / R) = 6.00090036...e-6 m
