@@ -316,8 +316,7 @@ class TestArcEnergy:
 
     @pytest.mark.parametrize(
         "radius,half_span,gap",
-        [(1.0, 1e-4, 0.49), (1.0, Y_MAX, 0.5e-6), (1e-3, 1e-7, 4e-4),
-         (1e160, 0.5, 1e60)],  # R*R overflows, but T and the sagitta do not
+        [(1.0, 1e-4, 0.49), (1.0, Y_MAX, 0.5e-6), (1e-3, 1e-7, 4e-4)],
     )
     def test_matches_mpmath_oracle_far_from_contact(self, radius, half_span, gap):
         # b*T, about sqrt(sagitta/gap), is small here, where atanh(bT) through a
@@ -326,6 +325,14 @@ class TestArcEnergy:
         for model in (PFA, NTLO):
             oracle = mpmath_arc_energy(radius, half_span, gap, model.gradient_weight)
             assert abs(arc_energy(geom, model) - oracle) <= 1e-13 * abs(oracle)
+
+    @pytest.mark.parametrize("model", [PFA, NTLO])
+    def test_finite_where_the_squares_overflow(self, model):
+        # R*R overflows, but T and the sagitta do not
+        radius, half_span, gap = 1e160, 0.5, 1e60
+        geom = ArcGeometry(radius=radius, half_span=half_span, gap=gap)
+        oracle = mpmath_arc_energy(radius, half_span, gap, model.gradient_weight)
+        assert abs(arc_energy(geom, model) - oracle) <= 1e-13 * abs(oracle)
 
     @pytest.mark.parametrize("gap", [0.1e-6, 0.5e-6, 1.0e-6, 1.01 * sagitta(R, Y_MAX)])
     def test_gradient_correction_matches_mpmath(self, gap):
