@@ -14,6 +14,7 @@ timestamps only ever appear in JSON metadata.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import re
@@ -369,6 +370,9 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
         sys.stdout.write(text)
         return EXIT_OK
     out = Path(args.out)
+    if not out.name:  # '', '.' or '/': no file to write, nor a name for the sidecar
+        code = errno.EISDIR if args.out else errno.ENOENT
+        raise OSError(code, os.strerror(code), args.out)
     sidecar = out.with_name(out.stem + ".meta.json")
     record = make_record(
         argv,

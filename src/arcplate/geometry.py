@@ -66,52 +66,6 @@ class Frozen:
     __delattr__ = __setattr__
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
-    s = a + b
-    v = s - a
-    return s, (a - (s - v)) + (b - v)
-
-
-def _two_product(a: float, b: float) -> tuple[float, float]:
-    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's TwoProduct,
-    each factor split in halves of 26 bits by Veltkamp's 2^27 + 1). Exact for
-    the mantissas in [0.5, 1) that _sagitta_step passes."""
-    p = a * b
-    c = 134217729.0 * a
-    a1 = c - (c - a)
-    c = 134217729.0 * b
-    b1 = c - (c - b)
-    a2, b2 = a - a1, b - b1
-    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
-
-
-def _sagitta_step(R: float, Y: float, h: float) -> float:
-    """The Newton step from h > 0, or 0, toward s = Y^2 / (R + sqrt(R^2 - Y^2)),
-    the smaller root of f(s) = s^2 - 2R s + Y^2. f(h) is summed from the exact
-    pairs of its squares and product, each formed from its factors' mantissas
-    and scaled by 4^-e with Y = m 2^e, so that f(h) is accurate to a few ulps
-    however far it cancels. f is quadratic, so the step solves
-    f(h) + f'(h) step + step^2 = 0 to the second order."""
-    mr, er = math.frexp(R)
-    my, ey = math.frexp(Y)
-    mh, eh = math.frexp(h)
-    nb, nc = er + eh + 1 - 2 * ey, 2 * (eh - ey)
-    a, ae = _two_product(my, my)
-    b, be = _two_product(mr, mh)
-    c, ce = _two_product(mh, mh)
-    f, e1 = _two_sum(a, -math.ldexp(b, nb))
-    f, e2 = _two_sum(f, math.ldexp(c, nc))
-    f, e3 = _two_sum(f, ae)
-    f, e4 = _two_sum(f, -math.ldexp(be, nb))
-    f, e5 = _two_sum(f, math.ldexp(ce, nc))
-    f += (e1 + e2) + (e3 + e4 + e5)
-    d = R - h
-    md, ed = math.frexp(d)
-    step = math.ldexp(f / (2.0 * md), 2 * ey - ed)
-    return step + step * (0.5 * step / d)
-
-
 def _gap_ratio_error(gap: float, radius: float) -> PfaViolationError | None:
     """The error of a gap at or beyond the radius, or None."""
     if gap / radius >= 1.0:
@@ -175,27 +129,38 @@ class ArcGeometry(Frozen):
         """(hi, lo, T): the sagitta as the unevaluated pair hi + lo, hi the
         correctly rounded sagitta and lo the rest, and T = tan(theta_max/2).
 
-        With root = R + sqrt(R^2 - y_max^2), the sagitta is y_max^2 / root
-        and T = y_max / root, so no cancellation for R >> y_max. The root is
-        formed from r = R / 2^k and y = y_max / 2^k, with r in [0.5, 1), and
-        y_max^2 from y_max's mantissa, so that no square leaves a double's
-        range. T is scale-free and gets the bits of the unscaled formula
-        wherever that formula's squares are normal. The float sagitta, within
-        a few ulps, then takes two Newton steps on s^2 - 2R s + y_max^2 = 0,
-        whose smaller root it is: the first rounds to hi, and the second, from
-        hi, is lo. hi + lo is within about 2^-105 of the sagitta, relative,
-        and lo within a few ulps of itself, wherever hi is normal. A sagitta
-        below the least double reads 0."""
+        With root = R + sqrt(R^2 - y_max^2), T = y_max / root, formed from
+        r = R / 2^k and y = y_max / 2^k, with r in [0.5, 1), so that no square
+        leaves a double's range; T gets the bits of the unscaled formula
+        wherever that formula's squares are normal. The sagitta, the smaller
+        root of f(s) = s^2 - 2R s + y_max^2, is found in exact integers: with
+        R and y_max over one power of two, scaled so that the sagitta has 120
+        bits or more, isqrt gives it to within 1, and every rounding boundary
+        of hi is an integer. So hi is correctly rounded, ties included, and a
+        sagitta below the least double reads 0. With d = 2(R - hi),
+        f(hi) = lo (d - lo) exactly; one step from lo = f(hi)/d gives
+        lo = d f(hi) / (d^2 - f(hi)), rounded once, whose relative error
+        before rounding is about (lo/d)^2 < 2^-54: lo is within 1 ulp."""
         R, Y = self.radius, self.half_span
         r, k = math.frexp(R)
         y = math.ldexp(Y, -k)
         t = y / (r + math.sqrt(r * r - y * y))
-        # the start of the steps takes r^2 - y^2 as (r - y)(r + y), whose
-        # digits survive as y nears r; T keeps the float formula's bits
-        m, j = math.frexp(Y)
-        hi = math.ldexp(m * m / (r + math.sqrt((r - y) * (r + y))), 2 * j - k)
-        hi += _sagitta_step(R, Y, hi)
-        return hi, _sagitta_step(R, Y, hi), t
+        (a, p), (b, q) = R.as_integer_ratio(), Y.as_integer_ratio()
+        den = max(p, q)
+        a, b = a * (den // p), b * (den // q)  # R = a / den and y_max = b / den
+        shift = max(0, 123 + a.bit_length() - 2 * b.bit_length())  # sagitta den 2^shift >= 2^120
+        scale = den << shift
+        a, b = a << shift, b << shift
+        n = a * a - b * b
+        root = math.isqrt(n)
+        # the sagitta times scale lies in (a - root - 1, a - root], at the top
+        # only if root^2 = n, that is f(a - root) = 0; so hi is the rounding of
+        # a - root, or of a - root - 1/2 if f(a - root) < 0
+        hi = (2 * (a - root) - (root * root < n)) / (2 * scale)
+        c, e = hi.as_integer_ratio()
+        m = a - c * scale // e  # (R - hi) scale: hi's ulp times scale is an integer
+        f = m * m - n  # f(hi) scale^2
+        return hi, 2 * m * f / ((4 * m * m - f) * scale), t
 
     def _integrals(self, gaps: Sequence[float]) -> tuple[
             list[float], list[float], PfaViolationError | NonFiniteResultError | None]:
