@@ -10,8 +10,9 @@ this across a uniform grid of gaps for every requested material and model.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Sequence
 from itertools import repeat
-from typing import NamedTuple, Sequence
 
 from .casimir import NTLO, PFA, EnergyModel, _energies, _in_range
 from .elasticity import Material
@@ -157,11 +158,9 @@ class SweepConfig(Frozen):
         ]
 
 
-class SweepRow(NamedTuple):
-    gap: float  # m
-    energies: dict[str, float]  # model key -> J/m
-    thickness: dict[tuple[str, str], float]  # (material name, model key) -> m
-    delta: float | None  # fractional deviation of the comparison pair
+# gap in m; energies, model key -> J/m; thickness, (material name, model key)
+# -> m; delta, the comparison pair's fractional deviation, or None
+SweepRow = namedtuple("SweepRow", "gap energies thickness delta")
 
 
 class SweepTable(Frozen):

@@ -18,7 +18,7 @@ are pure and thread-safe.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import NonFiniteResultError, NonPositiveGapError, PfaViolationError
 from .geometry import ArcGeometry, Frozen

@@ -20,8 +20,7 @@ import os
 import re
 import sys
 import warnings
-from pathlib import Path
-from typing import Sequence
+from collections.abc import Sequence
 
 from .analysis import MAX_POINTS, SweepConfig, _check_grid, _sweep_columns
 from .casimir import (
@@ -157,7 +156,8 @@ def material_table(path: str | None) -> dict[str, dict]:
     table = dict(_BUILTINS)
     if not path:
         return table
-    import json  # here: a sweep to stdout and validate read no file and load no json
+    import json  # here: a sweep to stdout and validate read no file and load neither
+    from pathlib import Path
 
     def fields_once(pairs: list[tuple[str, object]]) -> dict:
         seen = set()
@@ -369,6 +369,7 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
         return EXIT_OK
+    from pathlib import Path  # here: a sweep to stdout names no file
     out = Path(args.out)
     if not out.name:  # '', '.' or '/': no file to write, nor a name for the sidecar
         code = errno.EISDIR if args.out else errno.ENOENT
@@ -618,6 +619,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
-
-if __name__ == "__main__":
-    raise SystemExit(main())

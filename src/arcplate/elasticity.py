@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .errors import MaterialNotFoundError, NonPositiveThicknessError
 from .geometry import ArcGeometry, Frozen

@@ -8,8 +8,9 @@ package's value types, lives here: every module that defines one imports this.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Literal, Sequence
+from collections.abc import Sequence
 
 from .errors import (ContactViolationError, NonFiniteResultError, NonPositiveGapError,
                      PfaViolationError)
@@ -76,13 +77,56 @@ def _gap_ratio_error(gap: float, radius: float) -> PfaViolationError | None:
     return None
 
 
+@functools.lru_cache(maxsize=16)
+def _sagitta_pair(R: float, Y: float) -> tuple[float, float, float]:
+    """(hi, lo, T): the sagitta as the unevaluated pair hi + lo, hi the
+    correctly rounded sagitta and lo the rest, and T = tan(theta_max/2).
+
+    With root = R + sqrt(R^2 - y_max^2), T = y_max / root, formed from
+    r = R / 2^k and y = y_max / 2^k, with r in [0.5, 1), so that no square
+    leaves a double's range; T gets the bits of the unscaled formula
+    wherever that formula's squares are normal. The sagitta, the smaller
+    root of f(s) = s^2 - 2R s + y_max^2, is found in exact integers: with
+    R and y_max over one power of two, scaled so that the sagitta has 120
+    bits or more, isqrt gives it to within 1, and every rounding boundary
+    of hi is an integer. So hi is correctly rounded, ties included, and a
+    sagitta below the least double reads 0. With d = 2(R - hi),
+    f(hi) = lo (d - lo) exactly; one step from lo = f(hi)/d gives
+    lo = d f(hi) / (d^2 - f(hi)), rounded once, whose relative error
+    before rounding is about (lo/d)^2 < 2^-54: lo is within 1 ulp. A zero lo
+    may be -0.0; nothing reads its sign. Each (R, y_max) is derived once
+    while it stays among the last 16 asked for."""
+    r, k = math.frexp(R)
+    y = math.ldexp(Y, -k)
+    t = y / (r + math.sqrt(r * r - y * y))
+    j = math.frexp(Y)[1]  # y_max < 2^j and R >= 2^(k - 1)
+    if 2 * j - k < -1075:  # so y_max^2 / R < 2^-1075: hi and lo read 0
+        return 0.0, 0.0, t
+    (a, p), (b, q) = R.as_integer_ratio(), Y.as_integer_ratio()
+    den = max(p, q)
+    a, b = a * (den // p), b * (den // q)  # R = a / den and y_max = b / den
+    shift = max(0, 123 + a.bit_length() - 2 * b.bit_length())  # sagitta den 2^shift >= 2^120
+    scale = den << shift
+    a, b = a << shift, b << shift
+    n = a * a - b * b
+    root = math.isqrt(n)
+    # the sagitta times scale lies in (a - root - 1, a - root], at the top
+    # only if root^2 = n, that is f(a - root) = 0; so hi is the rounding of
+    # a - root, or of a - root - 1/2 if f(a - root) < 0
+    hi = (2 * (a - root) - (root * root < n)) / (2 * scale)
+    c, e = hi.as_integer_ratio()
+    m = a - c * scale // e  # (R - hi) scale: hi's ulp times scale is an integer
+    f = m * m - n  # f(hi) scale^2
+    return hi, 2 * m * f / ((4 * m * m - f) * scale), t
+
+
 class PfaReport(Frozen):
-    """Proximity-approximation validity of one geometry; contact_margin = gap - sagitta, m."""
+    """Proximity-approximation validity of one geometry: status is "pass",
+    "warn" or "fail"; contact_margin = gap - sagitta, m."""
 
     __slots__ = __match_args__ = ("ratio", "status", "contact_margin")
 
-    def __init__(self, ratio: float, status: Literal["pass", "warn", "fail"],
-                 contact_margin: float) -> None:
+    def __init__(self, ratio: float, status: str, contact_margin: float) -> None:
         self._set((ratio, status, contact_margin))
 
     @property
@@ -126,41 +170,8 @@ class ArcGeometry(Frozen):
         return self._sagitta_and_t()[0]
 
     def _sagitta_and_t(self) -> tuple[float, float, float]:
-        """(hi, lo, T): the sagitta as the unevaluated pair hi + lo, hi the
-        correctly rounded sagitta and lo the rest, and T = tan(theta_max/2).
-
-        With root = R + sqrt(R^2 - y_max^2), T = y_max / root, formed from
-        r = R / 2^k and y = y_max / 2^k, with r in [0.5, 1), so that no square
-        leaves a double's range; T gets the bits of the unscaled formula
-        wherever that formula's squares are normal. The sagitta, the smaller
-        root of f(s) = s^2 - 2R s + y_max^2, is found in exact integers: with
-        R and y_max over one power of two, scaled so that the sagitta has 120
-        bits or more, isqrt gives it to within 1, and every rounding boundary
-        of hi is an integer. So hi is correctly rounded, ties included, and a
-        sagitta below the least double reads 0. With d = 2(R - hi),
-        f(hi) = lo (d - lo) exactly; one step from lo = f(hi)/d gives
-        lo = d f(hi) / (d^2 - f(hi)), rounded once, whose relative error
-        before rounding is about (lo/d)^2 < 2^-54: lo is within 1 ulp."""
-        R, Y = self.radius, self.half_span
-        r, k = math.frexp(R)
-        y = math.ldexp(Y, -k)
-        t = y / (r + math.sqrt(r * r - y * y))
-        (a, p), (b, q) = R.as_integer_ratio(), Y.as_integer_ratio()
-        den = max(p, q)
-        a, b = a * (den // p), b * (den // q)  # R = a / den and y_max = b / den
-        shift = max(0, 123 + a.bit_length() - 2 * b.bit_length())  # sagitta den 2^shift >= 2^120
-        scale = den << shift
-        a, b = a << shift, b << shift
-        n = a * a - b * b
-        root = math.isqrt(n)
-        # the sagitta times scale lies in (a - root - 1, a - root], at the top
-        # only if root^2 = n, that is f(a - root) = 0; so hi is the rounding of
-        # a - root, or of a - root - 1/2 if f(a - root) < 0
-        hi = (2 * (a - root) - (root * root < n)) / (2 * scale)
-        c, e = hi.as_integer_ratio()
-        m = a - c * scale // e  # (R - hi) scale: hi's ulp times scale is an integer
-        f = m * m - n  # f(hi) scale^2
-        return hi, 2 * m * f / ((4 * m * m - f) * scale), t
+        """(hi, lo, T) of _sagitta_pair at this geometry's R and y_max."""
+        return _sagitta_pair(self.radius, self.half_span)
 
     def _integrals(self, gaps: Sequence[float]) -> tuple[
             list[float], list[float], PfaViolationError | NonFiniteResultError | None]:
@@ -247,7 +258,7 @@ class ArcGeometry(Frozen):
         """Gap/radius ratio against the warn (0.05) and fail (0.5) thresholds."""
         ratio = self.gap / self.radius
         if ratio >= PFA_FAIL_RATIO:
-            status: Literal["pass", "warn", "fail"] = "fail"
+            status = "fail"
         elif ratio > PFA_WARN_RATIO:
             status = "warn"
         else:

@@ -1260,6 +1260,27 @@ class TestValidate:
                             "the arc would touch the plate\n")
 
 
+class TestSagittaPair:
+    """A command derives the exact sagitta pair of its (R, y_max) once,
+    however often its geometry reads it, with one integer square root; none
+    where the exponents alone put the sagitta below the least double."""
+
+    @pytest.mark.parametrize(
+        "argv,code,roots",
+        [(("sweep", "--points", "3"), EXIT_OK, 1),
+         (("energy", "--geometry", "arc", "--gap", "0.1um"), EXIT_OK, 1),
+         (("validate",), EXIT_OK, 1),
+         (("validate", "--r", "1e308m", "--span", "1e-323m", "--gap", "1um"), EXIT_PHYSICS, 0)],
+        ids=["sweep", "energy-arc", "validate", "validate-widest-spread"],
+    )
+    def test_one_derivation_per_command(self, monkeypatch, capsys, argv, code, roots):
+        isqrt, calls = math.isqrt, []
+        monkeypatch.setattr(math, "isqrt", lambda n: calls.append(n) or isqrt(n))
+        arcplate.geometry._sagitta_pair.cache_clear()
+        assert run_cli(capsys, *argv)[0] == code
+        assert len(calls) == roots
+
+
 class TestMaterials:
     def test_list(self, capsys):
         code, out, _ = run_cli(capsys, "materials", "list")
@@ -1631,17 +1652,18 @@ class TestConsoleScript:
 
     @pytest.mark.parametrize(
         "argv,loaded",
-        [(["sweep", "--points", "2"], False), (["validate"], False),
-         (["sweep", "--points", "2", "--out", "o.csv"], True)],
+        [(["sweep", "--points", "2"], ""), (["validate"], ""),
+         (["sweep", "--points", "2", "--out", "o.csv"], "json pathlib")],
         ids=["stdout-sweep", "validate", "sweep-out"],
     )
     def test_json_is_loaded_only_for_json(self, tmp_path, argv, loaded):
-        """Without site (-S), whose .pth files may load json, only a command
-        that reads or writes JSON loads the json module."""
+        """Without site (-S), whose .pth files may load json, typing and
+        pathlib, only a command that reads or writes JSON loads json, only
+        one that names a file loads pathlib, and none loads typing."""
         script = (
             "import contextlib, io, sys\nfrom arcplate.cli import main\n"
             f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
-            "print('json' in sys.modules)"
+            "print(*[name for name in ('json', 'pathlib', 'typing') if name in sys.modules])"
         )
         result = subprocess.run(
             [sys.executable, "-S", "-c", script],
