@@ -307,7 +307,7 @@ def _material_dict(mat: Material) -> dict:
     return {field: value for field, value in values.items() if value is not None}
 
 
-def _write_all(files: list[tuple[Path, str]]) -> None:
+def _write_all(files: list[tuple[str, str]]) -> None:
     """Write each (path, text) as UTF-8, all or none.
 
     Each text first goes to a temporary file beside its path, named with
@@ -319,34 +319,37 @@ def _write_all(files: list[tuple[Path, str]]) -> None:
     file gets its name back, and an OSError names the path given, not the
     temporary.
     """
-    temps: list[Path] = []
-    placed: list[Path] = []
-    earlier: list[tuple[Path, Path]] = []  # (path, where its earlier file waits)
+    temps: list[str] = []
+    placed: list[str] = []
+    earlier: list[tuple[str, str]] = []  # (path, where its earlier file waits)
     try:
         for path, text in files:
-            temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+            temp = f"{path}.{os.getpid()}.tmp"
             with open(temp, "w", encoding="utf-8") as f:
                 temps.append(temp)
                 f.write(text)
         pending = list(zip(files, temps))
         while pending:
             (path, _), temp = pending.pop()
-            if pending and path.is_file():  # a later replace can still fail
-                old = temp.with_suffix(".old")
+            if pending and os.path.isfile(path):  # a later replace can still fail
+                old = f"{path}.{os.getpid()}.old"
                 os.replace(path, old)
                 earlier.append((path, old))
             os.replace(temp, path)
             placed.append(path)
     except BaseException as exc:
         for name in temps + placed:
-            name.unlink(missing_ok=True)
+            try:
+                os.remove(name)
+            except FileNotFoundError:
+                pass
         for name, old in earlier:
             os.replace(old, name)
         if isinstance(exc, OSError):
-            raise OSError(exc.errno, exc.strerror, str(path)) from None
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
     for _, old in earlier:
-        old.unlink()
+        os.remove(old)
 
 
 def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
@@ -392,7 +395,7 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     )
     texts = [list(map(repr, c)) if t is None else t for t, c in zip(texts, columns)]
     sidecar_text = record.replace('"rows": []', '"rows": ' + _rows_json(names, texts), 1)
-    _write_all([(out, text), (sidecar, sidecar_text + "\n")])
+    _write_all([(str(out), text), (str(sidecar), sidecar_text + "\n")])
 
     ref = config.reference_model()
     ref_columns = thickness[config.models.index(ref)::len(config.models)]  # one per material
@@ -619,3 +622,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+
+
+if __name__ == "__main__":  # the module entry point is python -m arcplate
+    print("error: run python -m arcplate, not python -m arcplate.cli", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)

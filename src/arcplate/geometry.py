@@ -99,9 +99,6 @@ def _sagitta_pair(R: float, Y: float) -> tuple[float, float, float]:
     r, k = math.frexp(R)
     y = math.ldexp(Y, -k)
     t = y / (r + math.sqrt(r * r - y * y))
-    j = math.frexp(Y)[1]  # y_max < 2^j and R >= 2^(k - 1)
-    if 2 * j - k < -1075:  # so y_max^2 / R < 2^-1075: hi and lo read 0
-        return 0.0, 0.0, t
     (a, p), (b, q) = R.as_integer_ratio(), Y.as_integer_ratio()
     den = max(p, q)
     a, b = a * (den // p), b * (den // q)  # R = a / den and y_max = b / den

@@ -1262,15 +1262,15 @@ class TestValidate:
 
 class TestSagittaPair:
     """A command derives the exact sagitta pair of its (R, y_max) once,
-    however often its geometry reads it, with one integer square root; none
-    where the exponents alone put the sagitta below the least double."""
+    however often its geometry reads it, with one integer square root, at
+    the widest exponent spread too."""
 
     @pytest.mark.parametrize(
         "argv,code,roots",
         [(("sweep", "--points", "3"), EXIT_OK, 1),
          (("energy", "--geometry", "arc", "--gap", "0.1um"), EXIT_OK, 1),
          (("validate",), EXIT_OK, 1),
-         (("validate", "--r", "1e308m", "--span", "1e-323m", "--gap", "1um"), EXIT_PHYSICS, 0)],
+         (("validate", "--r", "1e308m", "--span", "1e-323m", "--gap", "1um"), EXIT_PHYSICS, 1)],
         ids=["sweep", "energy-arc", "validate", "validate-widest-spread"],
     )
     def test_one_derivation_per_command(self, monkeypatch, capsys, argv, code, roots):
@@ -1556,6 +1556,20 @@ class TestPackaging:
             for method in methods:
                 typing.get_type_hints(method)
 
+    def test_private_annotations_resolve(self):
+        """Every function and method of every module, private ones too, has
+        annotations that resolve at runtime."""
+        for name in (*self.MODULES, "cli", "__main__"):
+            module = importlib.import_module(f"arcplate.{name}")
+            for obj in vars(module).values():
+                if getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                functions = [obj] if inspect.isfunction(obj) else []
+                if inspect.isclass(obj):
+                    functions = [value for value in vars(obj).values() if inspect.isfunction(value)]
+                for function in functions:
+                    typing.get_type_hints(function)
+
     def test_sources_parse_at_the_python_floor(self):
         """Every module parses with the grammar of the oldest Python that
         pyproject.toml admits, which rejects newer syntax such as except*."""
@@ -1599,6 +1613,19 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert "gold" in result.stdout
+
+    def test_cli_module_is_not_an_entry_point(self):
+        """`python -m arcplate.cli` fails loudly and names the entry point."""
+        result = subprocess.run(
+            [sys.executable, "-m", "arcplate.cli", "sweep", "--points", "2"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=subprocess_env(),
+        )
+        assert result.returncode == EXIT_USAGE
+        assert result.stdout == ""
+        assert result.stderr == "error: run python -m arcplate, not python -m arcplate.cli\n"
 
     def test_import_leaves_numpy_out(self):
         result = subprocess.run(
