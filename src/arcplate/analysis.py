@@ -7,8 +7,6 @@ t = (|U| / C)^(1/3) with C = E L / (24 (1 - nu^2) R^2). The sweep evaluates
 this across a uniform grid of gaps for every requested material and model.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from collections.abc import Sequence

@@ -15,8 +15,6 @@ closed forms stay within a double's range through _in_range. All functions
 are pure and thread-safe.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Callable, Sequence
 

@@ -11,8 +11,6 @@ numbers are rejected. CSV bodies are byte-deterministic for identical flags;
 timestamps only ever appear in JSON metadata.
 """
 
-from __future__ import annotations
-
 import argparse
 import errno
 import math
@@ -157,7 +155,6 @@ def material_table(path: str | None) -> dict[str, dict]:
     if not path:
         return table
     import json  # here: a sweep to stdout and validate read no file and load neither
-    from pathlib import Path
 
     def fields_once(pairs: list[tuple[str, object]]) -> dict:
         seen = set()
@@ -169,8 +166,8 @@ def material_table(path: str | None) -> dict[str, dict]:
         return dict(pairs)
 
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float,
-                         object_pairs_hook=fields_once)
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f, parse_int=float, object_pairs_hook=fields_once)
     except OSError as exc:
         raise MaterialConfigError(f"cannot read materials file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:  # a ValueError, which would read as a usage error
@@ -608,7 +605,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        return exc.code  # argparse exits 0 for --help, 2 for a usage error
 
     def showwarning(message, category, *_) -> None:  # no package path, no source line
         print(f"{category.__name__}: {message}", file=sys.stderr)

@@ -7,8 +7,6 @@ u(arc curvature) times arc length. Energies pair dimensionally with the
 per-unit-depth interaction energies from the casimir module (J/m).
 """
 
-from __future__ import annotations
-
 import math
 import sys
 import warnings

@@ -6,8 +6,6 @@ closer by the sagitta. All lengths are SI meters. Frozen, the base of the
 package's value types, lives here: every module that defines one imports this.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from collections.abc import Sequence

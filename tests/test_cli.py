@@ -629,6 +629,25 @@ class TestSweepFiles:
         assert out == ""
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize("call", [1, 2], ids=["sidecar-aside", "sidecar-replace"])
+    def test_interrupted_rerun_keeps_the_earlier_pair(self, capsys, monkeypatch, tmp_path, call):
+        """An interrupt in the nth os.replace rolls back as an OSError does,
+        and propagates as itself."""
+        assert self.sweep(capsys, tmp_path)[0] == EXIT_OK
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        calls, os_replace = [], os.replace
+
+        def interrupted(*args):
+            calls.append(args)
+            if len(calls) == call:
+                raise KeyboardInterrupt
+            return os_replace(*args)
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--points", "4", "--out", str(tmp_path / "out.csv")])
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_dash_writes_to_stdout(self, capsys, tmp_path, monkeypatch):
         _, stdout_csv, _ = run_cli(capsys, *self.ARGV)
         monkeypatch.chdir(tmp_path)
@@ -1680,17 +1699,23 @@ class TestConsoleScript:
     @pytest.mark.parametrize(
         "argv,loaded",
         [(["sweep", "--points", "2"], ""), (["validate"], ""),
-         (["sweep", "--points", "2", "--out", "o.csv"], "json pathlib")],
-        ids=["stdout-sweep", "validate", "sweep-out"],
+         (["sweep", "--points", "2", "--out", "o.csv"], "json pathlib"),
+         (["sweep", "--points", "2", "--materials-file", "foil.json", "--materials", "gold,foil"],
+          "json")],
+        ids=["stdout-sweep", "validate", "sweep-out", "materials-file"],
     )
     def test_json_is_loaded_only_for_json(self, tmp_path, argv, loaded):
         """Without site (-S), whose .pth files may load json, typing and
         pathlib, only a command that reads or writes JSON loads json, only
-        one that names a file loads pathlib, and none loads typing."""
+        one that writes a file loads pathlib, and none loads typing or
+        __future__."""
+        (tmp_path / "foil.json").write_text(
+            '[{"name": "foil", "youngs_modulus_pa": 70e9, "poisson_ratio": 0.35}]')
         script = (
             "import contextlib, io, sys\nfrom arcplate.cli import main\n"
             f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
-            "print(*[name for name in ('json', 'pathlib', 'typing') if name in sys.modules])"
+            "print(*[name for name in ('json', 'pathlib', 'typing', '__future__')"
+            " if name in sys.modules])"
         )
         result = subprocess.run(
             [sys.executable, "-S", "-c", script],
