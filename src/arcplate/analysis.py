@@ -45,6 +45,8 @@ def critical_thickness(u_casimir: float, mat: Material, geom: ArcGeometry) -> fl
     admissible thicknesses, with the same arc length as bending_energy.
     """
     coef = _bending_coefficient(mat, geom.arc_length(), geom.radius)
+    if not u_casimir < 0.0:
+        raise NonNegativeEnergyError(f"need an attractive (negative) energy, got {u_casimir}")
     return _thicknesses([[u_casimir]], [coef])[0][0]
 
 
@@ -60,19 +62,13 @@ def _bending_coefficient(mat: Material, arc_length: float, radius: float) -> flo
 
 def _thicknesses(energies: list[list[float]], coefs: list[float]) -> list[list[float]]:
     """(-u / C)^(1/3), m: one column per bending coefficient C and energy
-    column, coefficients outermost. Every u must be negative and every
-    thickness positive and finite; the first failing row raises, its u first."""
-    bad = [[u for u in us if not u < 0.0] for us in energies]  # index finds nan by identity
-    end = min([us.index(b[0]) for us, b in zip(energies, bad) if b], default=None)
-    # a negative u gives a thickness in [0, inf], never nan; none is formed from row end
-    thickness = [[(-u / C) ** (1.0 / 3.0) for u in us[:end]] for C in coefs for us in energies]
+    column, coefficients outermost. Every u is negative, so a thickness lies
+    in [0, inf]; the first row with one that is not positive and finite raises."""
+    thickness = [[(-u / C) ** (1.0 / 3.0) for u in us] for C in coefs for us in energies]
     rows = [ts.index(t) for ts in thickness for t in (0.0, math.inf) if t in ts]
-    if rows:  # -u / C underflowed or overflowed, in a row before end
+    if rows:  # -u / C underflowed or overflowed
         ts = [column[min(rows)] for column in thickness]
         raise NonFiniteResultError(f"critical thicknesses {ts} m leave the range of a double")
-    if end is not None:
-        u = next(us[end] for us in energies if not us[end] < 0.0)
-        raise NonNegativeEnergyError(f"need an attractive (negative) energy, got {u}")
     return thickness
 
 
@@ -207,17 +203,16 @@ def _sweep_columns(
     sagitta does not depend on the gap, so contact, a non-positive gap and
     the radius and span checks can fail only there.
 
-    One call of _integrals evaluates the gaps in grid order up to the first
-    that fails and returns that gap's error. _thicknesses checks the gaps
-    before it first, row by row, so the error raised is the one a
-    row-by-row sweep meets first.
+    One call of _energies evaluates the gaps in grid order up to the first
+    whose integrals or energies fail and returns that gap's error.
+    _thicknesses checks the gaps before it first, row by row, so the error
+    raised is the one a row-by-row sweep meets first.
     """
     gaps = config.gaps()
     geom = ArcGeometry(radius=config.radius, half_span=config.half_span, gap=gaps[0])
     arc_length = geom.arc_length()
     coefs = [_bending_coefficient(mat, arc_length, config.radius) for mat in config.materials]
-    i0s, i1s, error = geom._integrals(gaps)
-    energies = _energies(i0s, i1s, config.models)
+    energies, error = _energies(geom, gaps, config.models)
     thickness = _thicknesses(energies, coefs)
     if error is not None:
         raise error

@@ -10,9 +10,9 @@ Kardar, EPL 97, 50001 (2012)),
 
 with kappa = 0 (leading order), 1 (gradient-corrected), or a scale factor in
 between. For a circular arc the integral is elementary; arc_energy evaluates
-it exactly through _energies, which forms every energy of a sweep too; the
-closed forms stay within a double's range through _in_range. All functions
-are pure and thread-safe.
+it exactly through _energies, which forms and range-checks every energy of a
+sweep too; the other closed forms stay within a double's range through
+_in_range. All functions are pure and thread-safe.
 """
 
 import math
@@ -154,29 +154,34 @@ def sphere_plate_energy(R: float, d: float) -> float:
 
 
 def arc_energy(geom: ArcGeometry, model: EnergyModel) -> float:
-    """Arc-plate interaction energy per unit depth, J/m.
-
-    -pi^2 hbar c / 1440 times I0 + kappa*(2/3)*I1, with I0 and I1 from
-    ArcGeometry._integrals on the one-gap column [geom.gap]. Both are
-    positive, so kappa = 0 returns I0 exactly.
-
-    Raises PfaViolationError when gap/radius reaches the 0.5 hard threshold
-    of validate_pfa(), and NonFiniteResultError when the integrals or the
-    energy leave the range of a double; contact is already excluded by the
-    geometry.
-    """
-    i0s, i1s, error = geom._integrals([geom.gap])
+    """Arc-plate interaction energy per unit depth, J/m: _energies at the one
+    gap geom.gap, or its error: PfaViolationError when gap/radius reaches the
+    0.5 hard threshold of validate_pfa(), NonFiniteResultError when the
+    integrals or the energy leave the range of a double. Contact is already
+    excluded by the geometry."""
+    (column,), error = _energies(geom, [geom.gap], [model])
     if error is not None:
         raise error
-    return _in_range(
-        lambda: _energies(i0s, i1s, [model])[0][0], -1.0,
-        lambda _: f"arc energy at radius {geom.radius} m, gap {geom.gap} m out of double range",
-    )
+    return column[0]
 
 
-def _energies(i0s: list[float], i1s: list[float],
-              models: Sequence[EnergyModel]) -> list[list[float]]:
-    """-pi^2 hbar c / 1440 (I0 + kappa*(2/3)*I1), J/m: one column per model,
-    over the columns I0s and I1s of ArcGeometry._integrals, gap by gap."""
-    return [[-_ARC_COEF * (i0 + weight * i1) for i0, i1 in zip(i0s, i1s)]
-            for weight in [model.gradient_weight * (2.0 / 3.0) for model in models]]
+def _energies(geom: ArcGeometry, gaps: Sequence[float], models: Sequence[EnergyModel]
+              ) -> tuple[list[list[float]], PfaViolationError | NonFiniteResultError | None]:
+    """(columns, error): -pi^2 hbar c / 1440 (I0 + kappa*(2/3)*I1), J/m, one
+    column per model, with I0 and I1 from geom._integrals(gaps); kappa = 0
+    gives -pi^2 hbar c / 1440 I0 exactly.
+
+    The columns end before the first failing gap, and error is its error:
+    the kernel's when the integrals fail, else NonFiniteResultError when an
+    energy there is not negative (I0 and I1 are positive and finite, so only
+    -0.0 from underflow can occur); None when no gap fails."""
+    i0s, i1s, error = geom._integrals(gaps)
+    columns = [[-_ARC_COEF * (i0 + weight * i1) for i0, i1 in zip(i0s, i1s)]
+               for weight in [model.gradient_weight * (2.0 / 3.0) for model in models]]
+    end = min([us.index(0.0) for us in columns if 0.0 in us], default=None)  # -0.0 == 0.0
+    if end is not None:
+        columns = [us[:end] for us in columns]
+        error = NonFiniteResultError(
+            f"arc energy at radius {geom.radius} m, gap {gaps[end]} m out of double range"
+        )
+    return columns, error

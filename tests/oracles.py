@@ -20,7 +20,7 @@ import numpy as np
 
 from arcplate.analysis import SweepRow, _bending_coefficient, fractional_deviation
 from arcplate.casimir import _ARC_COEF
-from arcplate.errors import NonFiniteResultError, NonNegativeEnergyError, PfaViolationError
+from arcplate.errors import NonFiniteResultError, PfaViolationError
 from arcplate.geometry import PFA_FAIL_RATIO, ArcGeometry, _gap_ratio_error
 
 HBAR = 1.054571817e-34  # J*s
@@ -124,7 +124,8 @@ def reference_sweep(config) -> tuple[list[SweepRow], float]:
     """(rows, arc length) of a sweep, evaluated row by row as run_sweep did
     up to arcplate 0.3.0: per gap the arc integrals, then every model's
     energy, then every (material, model) thickness, then the deviation. The
-    first gap that fails a check raises its error."""
+    first gap that fails a check raises its error, and an energy that is not
+    negative raises arc_energy's."""
     gaps = config.gaps()
     geom = ArcGeometry(radius=config.radius, half_span=config.half_span, gap=gaps[0])
     arc_length = geom.arc_length()
@@ -147,7 +148,9 @@ def reference_sweep(config) -> tuple[list[SweepRow], float]:
         us = [-_ARC_COEF * (i0 + weight * i1) for weight in weights]
         for u in us:
             if not u < 0.0:
-                raise NonNegativeEnergyError(f"need an attractive (negative) energy, got {u}")
+                raise NonFiniteResultError(
+                    f"arc energy at radius {geom.radius} m, gap {gap} m out of double range"
+                )
         ts = [(-u / coef) ** (1.0 / 3.0) for coef in coefs for u in us]
         if 0.0 in ts or math.inf in ts:
             raise NonFiniteResultError(f"critical thicknesses {ts} m leave the range of a double")

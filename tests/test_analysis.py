@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arcplate.analysis
@@ -496,16 +496,21 @@ class TestSweepKernel:
              NonFiniteResultError,
              "critical thicknesses [inf, inf] m leave the range of a double"),
             # the thicknesses underflow at the first gap; the second gap's
-            # energies are -0.0, so a check of whole energy columns first
-            # would report that gap's sign instead
+            # energies underflow to -0.0, so a check of whole energy columns
+            # first would report that gap's arc energy instead
             (dict(radius=1e12, half_span=1e-265, gap_min=1e6, gap_max=1e11, points=2,
                   materials=(Material("x", youngs_modulus=1e308, poisson_ratio=0.3),)),
              NonFiniteResultError,
              "critical thicknesses [0.0, 0.0] m leave the range of a double"),
+            # the energy underflows to -0.0: arc_energy's error, not a sign
+            (dict(radius=1e12, half_span=1e-265, gap_min=1e11, gap_max=1e11, points=1,
+                  materials=(GOLD,)),
+             NonFiniteResultError,
+             "arc energy at radius 1000000000000.0 m, gap 100000000000.0 m out of double range"),
         ],
         ids=["contact", "half-radius", "past-radius", "integrals", "bending",
              "bending-underflow", "thickness", "thickness-before-half-radius",
-             "thickness-before-sign"],
+             "thickness-before-sign", "energy-underflow"],
     )
     def test_error_messages(self, overrides, error, message):
         with pytest.raises(error) as info:
@@ -515,12 +520,14 @@ class TestSweepKernel:
 
     @settings(max_examples=500, deadline=None)
     @given(sweep_configs())
+    @example(config(radius=1e12, half_span=1e-265, gap_min=1e11, gap_max=1e11, points=1))
     def test_rows_and_errors_equal_row_by_row_reference(self, cfg):
         """Rows == those of the row-by-row loop, or the same first error.
 
         The draws cover gaps that touch the arc, later gaps past gap/radius
         0.5, integrals, bending coefficients and thicknesses out of a
-        double's range, at the first gap or a later one."""
+        double's range, at the first gap or a later one; the example, an
+        energy that underflows to -0.0."""
         try:
             rows, arc_length = reference_sweep(cfg)
         except ArcPlateError as exc:

@@ -12,13 +12,16 @@ from arcplate import (
     ArcGeometry,
     ArcPlateError,
     EnergyModel,
+    Material,
     NonFiniteResultError,
     NonPositiveGapError,
     PfaViolationError,
+    SweepConfig,
     arc_energy,
     casimir,
     parallel_plate_energy_density,
     parallel_plate_pressure,
+    run_sweep,
     scaled_ntlo,
     sphere_plate_energy,
     sphere_plate_force,
@@ -62,6 +65,24 @@ def quadrature_arc_energy(geom: ArcGeometry, kappa: float, spec: QuadratureSpec)
 # radius 0.1 um to 1 m, half-span 1e-4 to 0.79 of the radius
 RADII = st.floats(-7.0, 0.0).map(lambda e: 10.0**e)
 SPAN_RATIOS = st.floats(-4.0, math.log10(0.79)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def widened_arcs(draw) -> tuple[float, float, float]:
+    """(radius, half_span, gap). Half the draws take RADII scaled by 10**-140
+    to 10**150, span ratios widened down to 1e-290, and gaps log-uniform from
+    1.01 times the sagitta up to the radius. The other half take flat arcs,
+    where I0 is about 2 y_max / g^3, with y_max / g^3 from 1e-330 to 1e-290:
+    the energy underflows to -0.0 below I0 = 1e-296 or so, and I0 itself
+    below 5e-324."""
+    if draw(st.booleans()):  # in decades: the gap, and y_max / g^3
+        g, i0 = draw(st.floats(20.0, 100.0)), draw(st.floats(-330.0, -290.0))
+        return 10.0 ** (g + draw(st.floats(0.5, 4.0))), 10.0 ** (3.0 * g + i0), 10.0**g
+    radius = draw(RADII) * 10.0 ** draw(st.integers(-140, 150))
+    half_span = radius * 10.0 ** draw(st.floats(-290.0, math.log10(0.79)))
+    assume(half_span > 0.0)
+    lo = math.log(max(1.01 * sagitta(radius, half_span), 5e-324))
+    return radius, half_span, math.exp(lo + draw(st.floats(0.0, 1.0)) * (math.log(radius) - lo))
 
 
 class TestConstants:
@@ -412,6 +433,30 @@ class TestArcEnergy:
             assert error is None
         else:
             assert (type(error), str(error)) == (type(failure), str(failure))
+
+    @settings(max_examples=300, deadline=None)
+    @given(arcs=widened_arcs(), model=st.sampled_from([PFA, scaled_ntlo(0.1), NTLO]))
+    @example(arcs=(1e12, 1e-265, 1e11), model=PFA)  # the energy underflows to -0.0
+    def test_energy_equals_a_one_point_sweep(self, arcs, model):
+        radius, half_span, gap = arcs
+        # a modulus that puts the bending coefficient near 1e-20 J/m^4, so that
+        # the sweep's thickness of any energy in a double's range is in it too
+        length = 2.0 * radius * math.asin(half_span / radius)  # as ArcGeometry's
+        assume(length > 0.0)
+        modulus = 24e-20 * radius**2 / length
+        assume(modulus < math.inf)
+        sweep = SweepConfig(gap_min=gap, gap_max=gap, points=1, radius=radius,
+                            half_span=half_span, models=[model],
+                            materials=[Material("m", youngs_modulus=modulus, poisson_ratio=0.0)])
+        try:
+            energy = arc_energy(ArcGeometry(radius, half_span, gap), model)
+        except ArcPlateError as exc:
+            with pytest.raises(type(exc)) as info:
+                run_sweep(sweep)
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        else:
+            (row,) = run_sweep(sweep).rows
+            assert row.energies[model.key].hex() == energy.hex()
 
     @pytest.mark.parametrize(
         "radius,half_span,gap",

@@ -19,8 +19,12 @@ run from the repository root
 
     PYTHONPATH=src python tests/test_corpus.py
 
-and list every entry that `git diff tests/corpus.json` shows as changed.
-To add a command, add an entry with its "id" and "argv" and rewrite.
+It prints the id of every entry whose results differ from the committed
+file's (git's HEAD, or the file as it was where git has none), one a line,
+with "(added)" or "(removed)" after an id that only one of them has, and
+prints nothing when none differs: the list of changed entries a change of
+output is recorded with. To add a command, add an entry with its "id" and
+"argv" and rewrite.
 """
 
 import contextlib
@@ -185,8 +189,21 @@ def test_errors_do_not_depend_on_the_hash_seed(tmp_path):
         assert sorted(os.listdir(tmp_path)) == sorted(FIXTURES)  # no file left behind
 
 
+def committed() -> list[dict]:
+    """The entries of corpus.json at git's HEAD, or in the file where git
+    cannot show it."""
+    try:
+        git = subprocess.run(["git", "show", f"HEAD:./{CORPUS.name}"], cwd=CORPUS.parent,
+                             capture_output=True, encoding="utf-8")
+    except OSError:  # no git
+        return load()
+    return json.loads(git.stdout) if git.returncode == 0 else load()
+
+
 def rewrite() -> None:
-    """Run every command of corpus.json and write its results back."""
+    """Run every command of corpus.json, write its results back, and print
+    the id of every entry that differs from the committed one."""
+    before = {entry["id"]: entry for entry in committed()}
     entries = []
     with tempfile.TemporaryDirectory() as name:
         write_fixtures(Path(name))
@@ -195,7 +212,14 @@ def rewrite() -> None:
                             **run(entry["argv"], Path(name))})
     CORPUS.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n",
                       encoding="utf-8")
-    print(f"wrote {len(entries)} entries to {CORPUS}")
+    for entry in entries:
+        old = before.pop(entry["id"], None)
+        if old is None:
+            print(f"{entry['id']} (added)")
+        elif old != entry:
+            print(entry["id"])
+    for name in before:
+        print(f"{name} (removed)")
 
 
 if __name__ == "__main__":
