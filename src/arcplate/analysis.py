@@ -79,20 +79,6 @@ def fractional_deviation(t_a: float, t_b: float) -> float:
     return abs(t_a - t_b) / t_b
 
 
-def _check_grid(gap_min: float, gap_max: float, points: int) -> None:
-    """The gap grid's checks, for SweepConfig and for the sweep command,
-    which runs them before it builds any material."""
-    if not 1 <= points <= MAX_POINTS:
-        raise ValueError(f"points must lie in [1, {MAX_POINTS:,}], got {points}")
-    for gap in (gap_min, gap_max):
-        if not gap > 0.0:
-            raise NonPositiveGapError(f"gap must be positive, got {gap}")
-    if not gap_min <= gap_max:
-        raise ValueError("gap-min exceeds gap-max")
-    if not math.isfinite(gap_max):  # run_sweep relies on a finite grid
-        raise ValueError(f"gap_max must be finite, got {gap_max}")
-
-
 class SweepConfig(Frozen):
     """Inputs of one sweep: gap grid and geometry template (m), materials, models.
 
@@ -110,7 +96,15 @@ class SweepConfig(Frozen):
                  comparison: tuple[EnergyModel, EnergyModel] | None = None) -> None:
         self._set((gap_min, gap_max, points, radius, half_span, tuple(materials),
                    tuple(models), comparison))
-        _check_grid(self.gap_min, self.gap_max, self.points)
+        if not 1 <= self.points <= MAX_POINTS:
+            raise ValueError(f"points must lie in [1, {MAX_POINTS:,}], got {self.points}")
+        for gap in (self.gap_min, self.gap_max):
+            if not gap > 0.0:
+                raise NonPositiveGapError(f"gap must be positive, got {gap}")
+        if not self.gap_min <= self.gap_max:
+            raise ValueError("gap-min exceeds gap-max")
+        if not math.isfinite(self.gap_max):  # run_sweep relies on a finite grid
+            raise ValueError(f"gap_max must be finite, got {self.gap_max}")
         if not self.materials:
             raise ValueError("at least one material required")
         if not self.models:

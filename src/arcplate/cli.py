@@ -20,7 +20,7 @@ import sys
 import warnings
 from collections.abc import Sequence
 
-from .analysis import MAX_POINTS, SweepConfig, _check_grid, _sweep_columns
+from .analysis import MAX_POINTS, SweepConfig, _sweep_columns
 from .casimir import (
     _C,
     _HBAR,
@@ -34,7 +34,8 @@ from .casimir import (
     sphere_plate_energy,
     sphere_plate_force,
 )
-from .elasticity import _BUILTINS, Material, _build_material, _range_error, thin_plate_check
+from .elasticity import (_BUILTINS, Material, MaterialWarning, _build_material, _range_error,
+                          thin_plate_check)
 from .errors import ArcPlateError, MaterialConfigError, MaterialNotFoundError
 from .geometry import ArcGeometry
 
@@ -53,6 +54,7 @@ _EXIT_CODES = {
     ArcPlateError: EXIT_PHYSICS,
     ValueError: EXIT_USAGE,
     OSError: EXIT_CONFIG,
+    MaterialWarning: EXIT_USAGE,  # made an error by a warning filter
 }
 
 # Unit -> decimal exponent of its size in metres.
@@ -248,33 +250,29 @@ def _column_names(config: SweepConfig) -> list[tuple[str, str | None]]:
     return names
 
 
-def _render_sweep(
-    names: list[tuple[str, str | None]], columns: list[list[float]]
-) -> tuple[str, list[list[str] | None]]:
-    """The CSV text of a sweep's columns, named and ordered as _column_names
-    gives, and the repr of each value of the CSV's columns, column by column,
-    with None for a column the CSV leaves out, which is left unformatted.
+def _render_sweep(columns: list[tuple[str, str | None, list[str]]]) -> str:
+    """The CSV text of a sweep from (sidecar key, CSV header, reprs) of its
+    columns, ordered as _column_names gives: the columns with a header.
 
-    Each value is formatted at most once, by repr (which round-trips
-    bit-exactly and is also how json writes a finite float), and the same
-    string goes to the CSV cell and to the sidecar row.
+    A repr round-trips bit-exactly and is also how json writes a finite
+    float, so the same string goes to the CSV cell and to the sidecar row,
+    and each value is formatted once.
     """
-    texts = [None if header is None else list(map(repr, column))
-             for column, (_, header) in zip(columns, names)]
-    csv_lines = [",".join(header for _, header in names if header is not None)]
-    csv_lines += map(",".join, zip(*(text for text in texts if text is not None)))
-    return "\n".join(csv_lines) + "\n", texts
+    csv = [(header, texts) for _, header, texts in columns if header is not None]
+    csv_lines = [",".join(header for header, _ in csv)]
+    csv_lines += map(",".join, zip(*(texts for _, texts in csv)))
+    return "\n".join(csv_lines) + "\n"
 
 
-def _rows_json(names: list[tuple[str, str | None]], texts: list[list[str]]) -> str:
-    """The sidecar's "rows" array as JSON text, from the reprs of every
-    column, laid out as json.dumps(..., indent=2) lays it out as the value of
-    a top-level key. Every column of a sweep is finite, so each repr is what
-    json writes."""
+def _rows_json(columns: list[tuple[str, str | None, list[str]]]) -> str:
+    """The sidecar's "rows" array as JSON text, from (sidecar key, CSV header,
+    reprs) of every column, laid out as json.dumps(..., indent=2) lays it out
+    as the value of a top-level key. Every column of a sweep is finite, so
+    each repr is what json writes."""
     import json
 
-    row = "{\n      " + ",\n      ".join(json.dumps(key) + ": %s" for key, _ in names) + "\n    }"
-    return "[\n    " + ",\n    ".join(map(row.__mod__, zip(*texts))) + "\n  ]"
+    row = "{\n      " + ",\n      ".join(json.dumps(key) + ": %s" for key, *_ in columns) + "\n    }"
+    return "[\n    " + ",\n    ".join(map(row.__mod__, zip(*(t for *_, t in columns)))) + "\n  ]"
 
 
 def make_record(argv: Sequence[str], rows: list[dict], **metadata: object) -> str:
@@ -350,7 +348,6 @@ def _write_all(files: list[tuple[str, str]]) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
-    _check_grid(args.gap_min, args.gap_max, args.points)  # before a material can warn
     table = material_table(args.materials_file)
     materials = tuple(_build_material(table, name) for name in args.materials.split(","))
     config = SweepConfig(
@@ -365,8 +362,11 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     names = _column_names(config)  # before any work: a token collision exits 2
     gaps, energies, thickness, delta, arc_length = _sweep_columns(config)
     columns = [gaps, *energies, *thickness, *([] if delta is None else [delta])]
-    text, texts = _render_sweep(names, columns)
-    if args.out is None or args.out == "-":
+    to_stdout = args.out is None or args.out == "-"
+    texts = [(key, header, list(map(repr, column)))  # the CSV's columns, all with --out
+             for (key, header), column in zip(names, columns) if header or not to_stdout]
+    text = _render_sweep(texts)
+    if to_stdout:
         sys.stdout.write(text)
         return EXIT_OK
     from pathlib import Path  # here: a sweep to stdout names no file
@@ -390,8 +390,7 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
         models=[m.label for m in config.models],
         csv_file=out.name,
     )
-    texts = [list(map(repr, c)) if t is None else t for t, c in zip(texts, columns)]
-    sidecar_text = record.replace('"rows": []', '"rows": ' + _rows_json(names, texts), 1)
+    sidecar_text = record.replace('"rows": []', '"rows": ' + _rows_json(texts), 1)
     _write_all([(str(out), text), (str(sidecar), sidecar_text + "\n")])
 
     ref = config.reference_model()
@@ -479,9 +478,9 @@ def cmd_validate(args: argparse.Namespace, argv: list[str]) -> int:
 def cmd_materials(args: argparse.Namespace, argv: list[str]) -> int:
     if args.materials_command == "list":
         table = material_table(args.materials_file)
+        mats = [_build_material(table, key) for key in table]  # a warning made an error: no table
         print(f"{'name':<14} {'E_Pa':>12} {'nu':>8} {'sigma_E_Pa':>12} {'sigma_nu':>9}")
-        for key in table:
-            mat = _build_material(table, key)
+        for mat in mats:
             sig_e = f"{mat.sigma_e:.4g}" if mat.sigma_e is not None else "-"
             sig_nu = f"{mat.sigma_nu:.4g}" if mat.sigma_nu is not None else "-"
             print(
@@ -606,19 +605,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code  # argparse exits 0 for --help, 2 for a usage error
-
-    def showwarning(message, category, *_) -> None:  # no package path, no source line
-        print(f"{category.__name__}: {message}", file=sys.stderr)
-
     try:
-        with warnings.catch_warnings():  # the caller's filters still apply
-            warnings.showwarning = showwarning
-            return args.run(args, argv)
+        with warnings.catch_warnings(record=True) as shown:  # the caller's filters decide
+            code = args.run(args, argv)
     except BrokenPipeError:  # an OSError, but the reader of stdout left, not a config
         return _stdout_closed()
-    except tuple(_EXIT_CODES) as exc:
+    except tuple(_EXIT_CODES) as exc:  # only the error: a failed command shows no warning
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    for warning in shown:  # one line each, without the package's path or source line
+        print(f"{warning.category.__name__}: {warning.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":  # the module entry point is python -m arcplate

@@ -666,11 +666,14 @@ class TestSweepFiles:
 
 
 class TestMaterialWarnings:
-    """stderr names no material that the command does not use."""
+    """stderr names no material that the command does not use, and a command
+    shows its warnings only once it has succeeded."""
 
-    def run(self, tmp_path, *argv):
+    def run(self, tmp_path, *argv, filters=None):
         env = subprocess_env()
         env.pop("PYTHONWARNINGS", None)
+        if filters:
+            env["PYTHONWARNINGS"] = filters
         return subprocess.run(
             [sys.executable, "-m", "arcplate", *argv],
             capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path,
@@ -682,12 +685,12 @@ class TestMaterialWarnings:
         assert result.returncode == EXIT_OK
         assert result.stderr == ""
 
-    def test_rejected_points_build_no_material(self, tmp_path):
+    def test_rejected_points_show_no_warning(self, tmp_path):
         result = self.run(tmp_path, "sweep", "--points", "2000000")
         assert result.returncode == EXIT_USAGE
         assert result.stderr == "error: points must lie in [1, 1,000,000], got 2000000\n"
 
-    def test_non_positive_gap_builds_no_material(self, tmp_path):
+    def test_non_positive_gap_shows_no_warning(self, tmp_path):
         result = self.run(tmp_path, "sweep", "--gap-min", "0um", "--points", "2")
         assert result.returncode == EXIT_PHYSICS
         assert result.stderr == "error: gap must be positive, got 0.0\n"
@@ -742,6 +745,19 @@ class TestMaterialWarnings:
         )
         assert result.returncode == EXIT_OK
         assert result.stderr == ""
+
+    def test_warning_made_an_error_exits_2(self, tmp_path):
+        result = self.run(tmp_path, "sweep", "--points", "2", "--out", "d.csv",
+                          filters="error::UserWarning")
+        assert result.returncode == EXIT_USAGE
+        assert result.stderr == (
+            "error: silver: poisson ratio 0.517 exceeds the isotropic bulk "
+            "limit 0.5; accepted as a thin-film value\n"
+        )
+        assert os.listdir(tmp_path) == []
+        result = self.run(tmp_path, "materials", "list", filters="error::UserWarning")
+        assert result.returncode == EXIT_USAGE
+        assert result.stdout == ""
 
     def test_main_restores_the_warning_display(self, tmp_path):
         shown = warnings.showwarning
