@@ -1,28 +1,36 @@
 """`python -m arcplate` and the installed `arcplate` command."""
 
 import gc
+import os
 import sys
 
-from .cli import _stdout_closed, main
+from .cli import EXIT_CONFIG, EXIT_OK, EXIT_STDOUT_CLOSED, main
 
 
 def run() -> int:
-    """Run the command line, then freeze the collector and return the exit code.
+    """Run the command line on sys.argv, end stdout, freeze the collector
+    and return the exit code; cli.main() touches no process state.
 
-    The process exits next. gc.freeze() moves every object left into the
-    collector's permanent generation, which the interpreter's final
-    collections skip, so exit does not walk and free the heap the imports
-    and the command built; the operating system reclaims it. atexit handlers
-    and the flush of stdout and stderr still run. cli.main() itself leaves
-    the collector alone, so library callers and tests keep a normal one.
-    stdout is flushed here, where a reader that has left can still be told
-    from a config error, as in main().
+    stdout is flushed once more, for what argparse printed or a failed write
+    left. If that fails, stdout is pointed at os.devnull, as the note on
+    SIGPIPE in the signal module's documentation does, so the flush at exit
+    writes nowhere: a reader that left exits 1, and a full device fails a
+    command that had succeeded with exit 4. gc.freeze() moves what is left
+    into the permanent generation, which the interpreter's final collections
+    skip, so exit does not free the heap; atexit handlers still run.
     """
-    code = main()
+    code = main(sys.argv[1:])
     try:
         sys.stdout.flush()
-    except BrokenPipeError:
-        code = _stdout_closed()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            code = EXIT_STDOUT_CLOSED
+        elif code == EXIT_OK:
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_CONFIG
     gc.freeze()
     return code
 

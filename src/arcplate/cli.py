@@ -317,6 +317,9 @@ def _write_all(files: list[tuple[str, str]]) -> None:
     temps: list[str] = []
     placed: list[str] = []
     earlier: list[tuple[str, str]] = []  # (path, where its earlier file waits)
+    for path, _ in files:  # stat only: opening a FIFO to write blocks, replacing it removes it
+        if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
+            raise OSError(errno.EEXIST, "exists and is not a regular file", path)
     try:
         for path, text in files:
             temp = f"{path}.{os.getpid()}.tmp"
@@ -588,28 +591,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _stdout_closed() -> int:
-    """EXIT_STDOUT_CLOSED, after pointing stdout at os.devnull so that the
-    flush at exit writes what is left nowhere, without another error. The
-    note on SIGPIPE in the signal module's documentation does the same."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    os.close(devnull)
-    return EXIT_STDOUT_CLOSED
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+def main(argv: Sequence[str]) -> int:
+    argv = list(argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with warnings.catch_warnings(record=True) as shown:  # the caller's filters decide
+            args = parser.parse_args(argv)  # before 3.11 a failed write of --help raises
+            code = args.run(args, argv)
+            sys.stdout.flush()  # its last write: a full or closed stdout fails the command
     except SystemExit as exc:
         return exc.code  # argparse exits 0 for --help, 2 for a usage error
-    try:
-        with warnings.catch_warnings(record=True) as shown:  # the caller's filters decide
-            code = args.run(args, argv)
     except BrokenPipeError:  # an OSError, but the reader of stdout left, not a config
-        return _stdout_closed()
+        return EXIT_STDOUT_CLOSED
     except tuple(_EXIT_CODES) as exc:  # only the error: a failed command shows no warning
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

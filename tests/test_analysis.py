@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +29,7 @@ from arcplate import (
     run_sweep,
     scaled_ntlo,
 )
-from arcplate.analysis import MAX_POINTS
+from arcplate.analysis import MAX_POINTS, _bending_coefficient
 from oracles import reference_sweep
 
 R = 100e-6
@@ -79,6 +80,20 @@ class TestCriticalThickness:
         ]
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-14)
         assert ratios[1] == pytest.approx(ratios[2], rel=1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_t=st.floats(-10.0, -6.0), mat=st.sampled_from([GOLD, SILVER]))
+    @example(log_t=-9.933755364603387, mat=SILVER)  # the worst of 40,000 draws: 1.38e-15
+    def test_cube_root_is_within_2e_15_of_exact(self, log_t, mat):
+        """The thickness is within 2e-15 of the exact cube root of its
+        rounded quotient -u / C. Raising to the rounded 1/3 costs up to
+        1.39e-15 for thicknesses of 0.1 nm to 1 um; math.cbrt would cost
+        5.2e-16 (ROADMAP item 17)."""
+        coef = _bending_coefficient(mat, GEOM.arc_length(), GEOM.radius)
+        u = -coef * (10.0**log_t) ** 3
+        with mp.workdps(40):
+            exact = mp.cbrt(mp.mpf(-u) / mp.mpf(coef))
+            assert abs(mp.mpf(critical_thickness(u, mat, GEOM)) / exact - 1) <= 2e-15
 
     @pytest.mark.parametrize("bad", [0.0, 1e-15, math.nan])
     def test_rejects_nonnegative_energy(self, bad):

@@ -2,7 +2,8 @@
 
 Everything runs in-process through main(argv) except the subprocess checks:
 `python -m arcplate` (whose output, files and exit code must match
-main()'s), the `arcplate` console script declared in
+main()'s, and whose exit on a closed or full stdout, buffered or not, and on
+a FIFO given as --out is checked), the `arcplate` console script declared in
 pyproject.toml, launched by name through the same launcher pip writes on
 install, the import of arcplate.cli without numpy, the stderr of
 commands that must not warn about materials they do not use, and the
@@ -21,6 +22,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -48,6 +50,7 @@ from arcplate.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PHYSICS,
+    EXIT_STDOUT_CLOSED,
     EXIT_USAGE,
     main,
     material_key,
@@ -647,6 +650,23 @@ class TestSweepFiles:
         with pytest.raises(KeyboardInterrupt):
             main(["sweep", "--points", "4", "--out", str(tmp_path / "out.csv")])
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    @pytest.mark.parametrize("name", ["out.csv", "out.meta.json"], ids=["csv", "sidecar"])
+    def test_fifo_is_refused_and_left_in_place(self, tmp_path, name):
+        """A path that is not a regular file or a directory, here a FIFO, is
+        neither opened, which would block, nor replaced: exit 4, nothing
+        written. A child process, so that a blocking open times out."""
+        os.mkfifo(tmp_path / name)
+        result = subprocess.run(
+            [sys.executable, "-m", "arcplate", *self.ARGV, "--out", "out.csv"],
+            capture_output=True, text=True, timeout=60, env=subprocess_env(), cwd=tmp_path,
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr == f"error: [Errno 17] exists and is not a regular file: '{name}'\n"
+        assert result.stdout == ""
+        assert os.listdir(tmp_path) == [name]
+        assert stat.S_ISFIFO(os.stat(tmp_path / name).st_mode)
 
     def test_dash_writes_to_stdout(self, capsys, tmp_path, monkeypatch):
         _, stdout_csv, _ = run_cli(capsys, *self.ARGV)
@@ -1745,6 +1765,13 @@ class TestConsoleScript:
         assert result.stdout == f"{loaded}\n"
 
 
+def closed_stdout():
+    """The write end of a pipe whose read end is closed, as after `| head -0`."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
 class TestProcessExit:
     """`python -m arcplate` exits through arcplate.__main__.run, which freezes
     the collector once main() returns, so that interpreter teardown skips
@@ -1753,28 +1780,68 @@ class TestProcessExit:
     @pytest.mark.parametrize(
         "argv",
         [("sweep",), ("energy", "--geometry", "arc", "--gap", "0.1um"),
-         ("materials", "show", "gold")],
-        ids=["sweep", "energy", "materials-show"],
+         ("materials", "show", "gold"), ("materials", "list"), ("--help",)],
+        ids=["sweep", "energy", "materials-show", "materials-list", "help"],
     )
     def test_closed_stdout_exits_1_without_an_error(self, argv):
         """A reader that closes the pipe before the command writes, as
         `| head -0` can, is not a config error: exit 1, as Python's own
-        exit on a broken stdout, with no error line and no traceback."""
-        read_end, write_end = os.pipe()
-        os.close(read_end)
+        exit on a broken stdout, with nothing on stderr, not even the
+        warning of a material the command printed."""
+        env = subprocess_env()
+        if argv == ("--help",):  # from 3.11 argparse ignores a failed write of unbuffered help
+            env.pop("PYTHONUNBUFFERED", None)
+        assert self.run_to(closed_stdout(), argv, env) == (EXIT_STDOUT_CLOSED, "")
+
+    @staticmethod
+    def run_to(stdout, argv, env, cwd=None):
+        """(exit code, stderr) of `python -m arcplate *argv` writing to the
+        file descriptor `stdout`, which is closed once the child has run."""
         try:
             result = subprocess.run(
                 [sys.executable, "-m", "arcplate", *argv],
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                text=True,
-                timeout=60,
-                env=subprocess_env(),
+                stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60, env=env, cwd=cwd,
             )
         finally:
-            os.close(write_end)
-        assert result.returncode == 1
-        assert "error" not in result.stderr and "Traceback" not in result.stderr
+            os.close(stdout)
+        return result.returncode, result.stderr
+
+    COMMANDS = {
+        "sweep-2": ("sweep", "--points", "2"),
+        "sweep-1000": ("sweep",),
+        "sweep-out": ("sweep", "--points", "2", "--out", "o.csv"),
+        "energy": ("energy", "--geometry", "arc", "--gap", "0.1um"),
+        "validate": ("validate",),
+        "materials-list": ("materials", "list"),
+        "materials-show": ("materials", "show", "silver"),
+        "help": ("--help",),
+    }
+
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    @pytest.mark.parametrize("stdout", ["closed", "full"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_failed_stdout_exits_with_its_code(self, tmp_path, command, stdout, buffering):
+        """Buffered or not, a closed stdout exits 1 with nothing on stderr and
+        a full one exits 4 with one error line, whether the command's own
+        write fails or the flush after it. The one exception is unbuffered
+        --help from Python 3.11 on, whose argparse ignores the failed write
+        and exits 0."""
+        env = subprocess_env()
+        env.pop("PYTHONWARNINGS", None)
+        env.pop("PYTHONUNBUFFERED", None)
+        if buffering == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        if stdout == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            fd = os.open("/dev/full", os.O_WRONLY)
+            expected = (EXIT_CONFIG, "error: [Errno 28] No space left on device\n")
+        else:
+            fd = closed_stdout()
+            expected = (EXIT_STDOUT_CLOSED, "")
+        if (command, buffering) == ("help", "unbuffered") and sys.version_info >= (3, 11):
+            expected = (EXIT_OK, "")
+        assert self.run_to(fd, self.COMMANDS[command], env, cwd=tmp_path) == expected
 
     CASES = {
         "stdout-sweep": (EXIT_OK, ("sweep", "--points", "3")),
