@@ -19,6 +19,8 @@ def run() -> int:
     into the permanent generation, which the interpreter's final collections
     skip, so exit does not free the heap; atexit handlers still run.
     """
+    if sys.stdout is None:  # started with file descriptor 1 closed: as a reader that left
+        return EXIT_STDOUT_CLOSED
     code = main(sys.argv[1:])
     try:
         sys.stdout.flush()

@@ -302,17 +302,17 @@ def _material_dict(mat: Material) -> dict:
     return {field: value for field, value in values.items() if value is not None}
 
 
-def _write_all(files: list[tuple[str, str]]) -> None:
-    """Write each (path, text) as UTF-8, all or none.
+def _write_all(files: list[tuple[str, str]], summary: str) -> None:
+    """Write each (path, text) as UTF-8, then ``summary`` to stdout, all or none.
 
     Each text first goes to a temporary file beside its path, named with
     this process's id. Once all are written they replace their paths, the
     last first, so the first path appears only after the others are in
-    place. Until then an earlier file at a path already replaced waits
-    under its temporary's name with .old for .tmp. On any error the
-    temporaries, and any path already replaced, are removed, each earlier
-    file gets its name back, and an OSError names the path given, not the
-    temporary.
+    place, and the summary is written and flushed. Until then an earlier
+    file at each path waits under its temporary's name with .old for .tmp.
+    On any error, stdout's too, the temporaries and any path already
+    replaced are removed, each earlier file gets its name back, and an
+    OSError of a file names the path given, not the temporary.
     """
     temps: list[str] = []
     placed: list[str] = []
@@ -326,15 +326,16 @@ def _write_all(files: list[tuple[str, str]]) -> None:
             with open(temp, "w", encoding="utf-8") as f:
                 temps.append(temp)
                 f.write(text)
-        pending = list(zip(files, temps))
-        while pending:
-            (path, _), temp = pending.pop()
-            if pending and os.path.isfile(path):  # a later replace can still fail
+        for (path, _), temp in reversed(list(zip(files, temps))):
+            if os.path.isfile(path):
                 old = f"{path}.{os.getpid()}.old"
                 os.replace(path, old)
                 earlier.append((path, old))
             os.replace(temp, path)
             placed.append(path)
+        path = None  # an error of stdout names no file
+        sys.stdout.write(summary)
+        sys.stdout.flush()
     except BaseException as exc:
         for name in temps + placed:
             try:
@@ -343,7 +344,7 @@ def _write_all(files: list[tuple[str, str]]) -> None:
                 pass
         for name, old in earlier:
             os.replace(old, name)
-        if isinstance(exc, OSError):
+        if isinstance(exc, OSError) and path is not None:
             raise OSError(exc.errno, exc.strerror, path) from None
         raise
     for _, old in earlier:
@@ -394,7 +395,6 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
         csv_file=out.name,
     )
     sidecar_text = record.replace('"rows": []', '"rows": ' + _rows_json(texts), 1)
-    _write_all([(str(out), text), (str(sidecar), sidecar_text + "\n")])
 
     ref = config.reference_model()
     ref_columns = thickness[config.models.index(ref)::len(config.models)]  # one per material
@@ -407,9 +407,9 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
         ]
         return "; ".join(cells)
 
-    print(f"wrote {len(gaps)} rows to {out} (metadata: {sidecar})")
-    print("first: " + show(0))
-    print("last:  " + show(-1))
+    summary = f"wrote {len(gaps)} rows to {out} (metadata: {sidecar})\n"
+    summary += f"first: {show(0)}\nlast:  {show(-1)}\n"
+    _write_all([(str(out), text), (str(sidecar), sidecar_text + "\n")], summary)
     return EXIT_OK
 
 
@@ -468,11 +468,11 @@ def cmd_validate(args: argparse.Namespace, argv: list[str]) -> int:
         f"t/b = {thin.ratio_b:.4g} ({'ok' if thin.ok_b else 'VIOLATED'}), "
         f"overall {'pass' if thin.passed else 'fail'}"
     )
-    if report.hard_failure:
-        print("result: FAIL (gap/radius beyond the 0.5 hard threshold)", file=sys.stderr)
-        return EXIT_PHYSICS
-    if not thin.passed:
-        print("result: FAIL (thin-plate tenth rule violated)", file=sys.stderr)
+    if report.hard_failure or not thin.passed:
+        sys.stdout.flush()  # the report is out, or the command fails, before its verdict
+        failure = ("gap/radius beyond the 0.5 hard threshold" if report.hard_failure
+                   else "thin-plate tenth rule violated")
+        print(f"result: FAIL ({failure})", file=sys.stderr)
         return EXIT_PHYSICS
     print("result: pass" + (" (with warnings)" if report.status == "warn" else ""))
     return EXIT_OK
@@ -496,8 +496,16 @@ def cmd_materials(args: argparse.Namespace, argv: list[str]) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose help fails as any write to stdout does, where argparse's
+    ignores an OSError; add_subparsers makes its subparsers of the same type."""
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arcplate",
         description=(
             "Arc-plate interaction energy, thin-membrane bending, and the "
@@ -596,7 +604,7 @@ def main(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         with warnings.catch_warnings(record=True) as shown:  # the caller's filters decide
-            args = parser.parse_args(argv)  # before 3.11 a failed write of --help raises
+            args = parser.parse_args(argv)  # a failed write of --help raises
             code = args.run(args, argv)
             sys.stdout.flush()  # its last write: a full or closed stdout fails the command
     except SystemExit as exc:

@@ -2,10 +2,10 @@
 
 Everything runs in-process through main(argv) except the subprocess checks:
 `python -m arcplate` (whose output, files and exit code must match
-main()'s, and whose exit on a closed or full stdout, buffered or not, and on
-a FIFO given as --out is checked), the `arcplate` console script declared in
-pyproject.toml, launched by name through the same launcher pip writes on
-install, the import of arcplate.cli without numpy, the stderr of
+main()'s, and whose exit on a closed, full or unopened stdout, buffered or
+not, and on a FIFO given as --out is checked), the `arcplate` console script
+declared in pyproject.toml, launched by name through the same launcher pip
+writes on install, the import of arcplate.cli without numpy, the stderr of
 commands that must not warn about materials they do not use, and the
 length-unit messages under two hash seeds. All import the
 arcplate package this suite imported, so none needs an install.
@@ -26,6 +26,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tomllib
 import typing
 import warnings
 from datetime import datetime
@@ -469,7 +470,7 @@ class TestSweepOutputContract:
 
         The values come from this platform's libm (glibc): another libm may
         round a transcendental differently and change the hashes. The CSV
-        hash is the same under CPython 3.10 to 3.13."""
+        hash is the same under CPython 3.11 to 3.13."""
         monkeypatch.chdir(tmp_path)
         code, out, _ = run_cli(capsys, "sweep")
         assert code == EXIT_OK
@@ -632,7 +633,8 @@ class TestSweepFiles:
         assert out == ""
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
-    @pytest.mark.parametrize("call", [1, 2], ids=["sidecar-aside", "sidecar-replace"])
+    @pytest.mark.parametrize("call", [1, 2, 3, 4],
+                             ids=["sidecar-aside", "sidecar-replace", "csv-aside", "csv-replace"])
     def test_interrupted_rerun_keeps_the_earlier_pair(self, capsys, monkeypatch, tmp_path, call):
         """An interrupt in the nth os.replace rolls back as an OSError does,
         and propagates as itself."""
@@ -1542,10 +1544,6 @@ if __name__ == '__main__':
 
 
 def load_pyproject():
-    if sys.version_info >= (3, 11):
-        import tomllib
-    else:
-        tomllib = pytest.importorskip("tomli")
     with PYPROJECT.open("rb") as f:
         return tomllib.load(f)
 
@@ -1632,6 +1630,14 @@ class TestPackaging:
         version = (int(floor[1]), int(floor[2]))
         for path in sorted(Path(arcplate.__file__).parent.glob("*.py")):
             ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
+
+    def test_ci_starts_at_the_python_floor(self):
+        """The oldest Python in the CI matrix is the floor that pyproject.toml
+        declares, so the two cannot drift apart."""
+        workflow = (PYPROJECT.parent / ".github" / "workflows" / "tests.yml").read_text()
+        matrix = re.search(r"python-version: \[([^\]]*)\]", workflow)[1]
+        oldest = min(re.findall(r'"([\d.]+)"', matrix), key=lambda v: tuple(map(int, v.split("."))))
+        assert load_pyproject()["project"]["requires-python"] == f">={oldest}"
 
     def test_version_matches_pyproject(self):
         assert arcplate.__version__ == load_pyproject()["project"]["version"]
@@ -1788,23 +1794,40 @@ class TestProcessExit:
         `| head -0` can, is not a config error: exit 1, as Python's own
         exit on a broken stdout, with nothing on stderr, not even the
         warning of a material the command printed."""
-        env = subprocess_env()
-        if argv == ("--help",):  # from 3.11 argparse ignores a failed write of unbuffered help
-            env.pop("PYTHONUNBUFFERED", None)
-        assert self.run_to(closed_stdout(), argv, env) == (EXIT_STDOUT_CLOSED, "")
+        assert self.run_to(closed_stdout(), argv, subprocess_env()) == (EXIT_STDOUT_CLOSED, "")
 
     @staticmethod
     def run_to(stdout, argv, env, cwd=None):
         """(exit code, stderr) of `python -m arcplate *argv` writing to the
-        file descriptor `stdout`, which is closed once the child has run."""
+        file descriptor `stdout`, which is closed once the child has run, or,
+        if `stdout` is None, started with file descriptor 1 closed."""
         try:
             result = subprocess.run(
                 [sys.executable, "-m", "arcplate", *argv],
                 stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60, env=env, cwd=cwd,
+                preexec_fn=(lambda: os.close(1)) if stdout is None else None,
             )
         finally:
-            os.close(stdout)
+            if stdout is not None:
+                os.close(stdout)
         return result.returncode, result.stderr
+
+    @staticmethod
+    def failing_stdout(kind, buffering):
+        """(environment, file descriptor or None, expected exit code and
+        stderr) of a child whose stdout is `kind`: closed by its reader,
+        a full device, or not open at all."""
+        env = subprocess_env()
+        env.pop("PYTHONWARNINGS", None)
+        env.pop("PYTHONUNBUFFERED", None)
+        if buffering == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        if kind == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            return env, os.open("/dev/full", os.O_WRONLY), (
+                EXIT_CONFIG, "error: [Errno 28] No space left on device\n")
+        return env, closed_stdout() if kind == "closed" else None, (EXIT_STDOUT_CLOSED, "")
 
     COMMANDS = {
         "sweep-2": ("sweep", "--points", "2"),
@@ -1812,36 +1835,39 @@ class TestProcessExit:
         "sweep-out": ("sweep", "--points", "2", "--out", "o.csv"),
         "energy": ("energy", "--geometry", "arc", "--gap", "0.1um"),
         "validate": ("validate",),
+        "validate-fail": ("validate", "--thickness", "1um"),
         "materials-list": ("materials", "list"),
         "materials-show": ("materials", "show", "silver"),
         "help": ("--help",),
     }
 
     @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
-    @pytest.mark.parametrize("stdout", ["closed", "full"])
+    @pytest.mark.parametrize("stdout", ["closed", "full", "not-open"])
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_failed_stdout_exits_with_its_code(self, tmp_path, command, stdout, buffering):
-        """Buffered or not, a closed stdout exits 1 with nothing on stderr and
-        a full one exits 4 with one error line, whether the command's own
-        write fails or the flush after it. The one exception is unbuffered
-        --help from Python 3.11 on, whose argparse ignores the failed write
-        and exits 0."""
-        env = subprocess_env()
-        env.pop("PYTHONWARNINGS", None)
-        env.pop("PYTHONUNBUFFERED", None)
-        if buffering == "unbuffered":
-            env["PYTHONUNBUFFERED"] = "1"
-        if stdout == "full":
-            if not os.path.exists("/dev/full"):
-                pytest.skip("no /dev/full")
-            fd = os.open("/dev/full", os.O_WRONLY)
-            expected = (EXIT_CONFIG, "error: [Errno 28] No space left on device\n")
-        else:
-            fd = closed_stdout()
-            expected = (EXIT_STDOUT_CLOSED, "")
-        if (command, buffering) == ("help", "unbuffered") and sys.version_info >= (3, 11):
-            expected = (EXIT_OK, "")
+        """Buffered or not, a closed stdout, or one not open at start, exits 1
+        with nothing on stderr and a full one exits 4 with one error line,
+        whether the command's own write fails or the flush after it, and
+        leaves no file."""
+        env, fd, expected = self.failing_stdout(stdout, buffering)
         assert self.run_to(fd, self.COMMANDS[command], env, cwd=tmp_path) == expected
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    @pytest.mark.parametrize("stdout", ["closed", "full"])
+    def test_failed_stdout_keeps_the_earlier_pair(self, tmp_path, stdout, buffering):
+        """A sweep --out whose summary cannot be written leaves an earlier
+        pair byte for byte as it was, with no temporary file beside it."""
+        argv = ("sweep", "--points", "3", "--materials", "gold", "--out", "o.csv")
+        earlier = subprocess.run([sys.executable, "-m", "arcplate", *argv], capture_output=True,
+                                 timeout=60, env=subprocess_env(), cwd=tmp_path)
+        assert earlier.returncode == EXIT_OK, earlier.stderr
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert sorted(before) == ["o.csv", "o.meta.json"]
+        env, fd, expected = self.failing_stdout(stdout, buffering)
+        assert self.run_to(fd, ("sweep", "--points", "4", "--out", "o.csv"), env,
+                           cwd=tmp_path) == expected
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     CASES = {
         "stdout-sweep": (EXIT_OK, ("sweep", "--points", "3")),
