@@ -4,35 +4,33 @@ import gc
 import os
 import sys
 
-from .cli import EXIT_CONFIG, EXIT_OK, EXIT_STDOUT_CLOSED, main
+from .cli import EXIT_STDOUT_CLOSED, main
 
 
 def run() -> int:
     """Run the command line on sys.argv, end stdout, freeze the collector
-    and return the exit code; cli.main() touches no process state.
+    and return main()'s exit code; cli.main() touches no process state.
 
-    stdout is flushed once more, for what argparse printed or a failed write
-    left. If that fails, stdout is pointed at os.devnull, as the note on
-    SIGPIPE in the signal module's documentation does, so the flush at exit
-    writes nowhere: a reader that left exits 1, and a full device fails a
-    command that had succeeded with exit 4. gc.freeze() moves what is left
-    into the permanent generation, which the interpreter's final collections
-    skip, so exit does not free the heap; atexit handlers still run.
+    A stderr not open at start is os.devnull, so that nothing meant for it,
+    argparse's usage text included, reaches stdout. stdout is flushed once
+    more, for what a failed write left in its buffer. If that fails, stdout
+    is pointed at os.devnull, as the note on SIGPIPE in the signal module's
+    documentation does, so the flush at exit writes nowhere and main()'s
+    code stands. gc.freeze() moves what is left into the permanent
+    generation, which the interpreter's final collections skip, so exit
+    does not free the heap; atexit handlers still run.
     """
     if sys.stdout is None:  # started with file descriptor 1 closed: as a reader that left
         return EXIT_STDOUT_CLOSED
+    if sys.stderr is None:  # started with file descriptor 2 closed
+        sys.stderr = open(os.devnull, "w")
     code = main(sys.argv[1:])
     try:
         sys.stdout.flush()
-    except OSError as exc:
+    except OSError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        if isinstance(exc, BrokenPipeError):
-            code = EXIT_STDOUT_CLOSED
-        elif code == EXIT_OK:
-            print(f"error: {exc}", file=sys.stderr)
-            code = EXIT_CONFIG
     gc.freeze()
     return code
 

@@ -115,7 +115,7 @@ def parse_model(token: str) -> EnergyModel:
             raise argparse.ArgumentTypeError(
                 f"bad epsilon {raw!r} in model {token!r}"
             ) from None
-        if eps == 0.0 and re.search("[1-9]", raw.partition("e")[0]):
+        if eps == 0.0 and float(raw.partition("e")[0]) != 0.0:
             raise argparse.ArgumentTypeError(
                 f"epsilon {raw!r} in model {token!r} underflows a double"
             )
@@ -351,7 +351,7 @@ def _write_all(files: list[tuple[str, str]], summary: str) -> None:
         os.remove(old)
 
 
-def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str]:
     table = material_table(args.materials_file)
     materials = tuple(_build_material(table, name) for name in args.materials.split(","))
     config = SweepConfig(
@@ -371,13 +371,12 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
              for (key, header), column in zip(names, columns) if header or not to_stdout]
     text = _render_sweep(texts)
     if to_stdout:
-        sys.stdout.write(text)
-        return EXIT_OK
-    from pathlib import Path  # here: a sweep to stdout names no file
-    out = Path(args.out)
-    if not out.name:  # '', '.' or '/': no file to write, nor a name for the sidecar
+        return EXIT_OK, text, ""
+    if os.path.basename(args.out) in ("", ".", ".."):  # no file to write, nor a sidecar name
         code = errno.EISDIR if args.out else errno.ENOENT
         raise OSError(code, os.strerror(code), args.out)
+    from pathlib import Path  # here: a sweep to stdout names no file
+    out = Path(args.out)
     sidecar = out.with_name(out.stem + ".meta.json")
     record = make_record(
         argv,
@@ -410,7 +409,7 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     summary = f"wrote {len(gaps)} rows to {out} (metadata: {sidecar})\n"
     summary += f"first: {show(0)}\nlast:  {show(-1)}\n"
     _write_all([(str(out), text), (str(sidecar), sidecar_text + "\n")], summary)
-    return EXIT_OK
+    return EXIT_OK, "", ""
 
 
 # geometry -> quantity -> (row key, value at the parsed arguments); the first
@@ -429,7 +428,7 @@ _ENERGY = {
 }
 
 
-def cmd_energy(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_energy(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str]:
     quantities = _ENERGY[args.geometry]
     quantity = args.quantity or next(iter(quantities))
     if quantity not in quantities:
@@ -443,57 +442,48 @@ def cmd_energy(args: argparse.Namespace, argv: list[str]) -> int:
         del row["model"]
     geometry = {"arc": {"radius_m": args.r, "half_span_m": args.span / 2.0}, "parallel": {},
                 "sphere": {"radius_m": args.r}}[args.geometry] | {"gap_m": args.gap}
-    print(make_record(argv, [row], geometry=geometry))
-    return EXIT_OK
+    return EXIT_OK, make_record(argv, [row], geometry=geometry) + "\n", ""
 
 
-def cmd_validate(args: argparse.Namespace, argv: list[str]) -> int:
+def cmd_validate(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str]:
     # geometry construction itself raises on contact or gap/radius >= 1;
     # main() maps those to exit 3 with the violated condition in the message
     geom = ArcGeometry(radius=args.r, half_span=args.span / 2.0, gap=args.gap)
     report = geom.validate_pfa()
     span_b = args.span_b if args.span_b is not None else args.span
     thin = thin_plate_check(args.thickness, args.span, span_b)
-    print(
+    out = (
         f"geometry: radius {geom.radius:.4g} m, half-span {geom.half_span:.4g} m, "
-        f"gap {geom.gap:.4g} m"
-    )
-    print(f"pfa: gap/radius = {report.ratio:.4g}, status = {report.status}")
-    print(
+        f"gap {geom.gap:.4g} m\n"
+        f"pfa: gap/radius = {report.ratio:.4g}, status = {report.status}\n"
         f"contact: margin = {report.contact_margin:.4g} m "
-        f"(gap minus sagitta {geom.sagitta:.4g} m)"
-    )
-    print(
+        f"(gap minus sagitta {geom.sagitta:.4g} m)\n"
         f"thin-plate: t/a = {thin.ratio_a:.4g} ({'ok' if thin.ok_a else 'VIOLATED'}), "
         f"t/b = {thin.ratio_b:.4g} ({'ok' if thin.ok_b else 'VIOLATED'}), "
-        f"overall {'pass' if thin.passed else 'fail'}"
+        f"overall {'pass' if thin.passed else 'fail'}\n"
     )
     if report.hard_failure or not thin.passed:
-        sys.stdout.flush()  # the report is out, or the command fails, before its verdict
         failure = ("gap/radius beyond the 0.5 hard threshold" if report.hard_failure
                    else "thin-plate tenth rule violated")
-        print(f"result: FAIL ({failure})", file=sys.stderr)
-        return EXIT_PHYSICS
-    print("result: pass" + (" (with warnings)" if report.status == "warn" else ""))
-    return EXIT_OK
+        return EXIT_PHYSICS, out, f"result: FAIL ({failure})\n"
+    verdict = "result: pass" + (" (with warnings)" if report.status == "warn" else "")
+    return EXIT_OK, f"{out}{verdict}\n", ""
 
 
-def cmd_materials(args: argparse.Namespace, argv: list[str]) -> int:
-    if args.materials_command == "list":
-        table = material_table(args.materials_file)
-        mats = [_build_material(table, key) for key in table]  # a warning made an error: no table
-        print(f"{'name':<14} {'E_Pa':>12} {'nu':>8} {'sigma_E_Pa':>12} {'sigma_nu':>9}")
-        for mat in mats:
-            sig_e = f"{mat.sigma_e:.4g}" if mat.sigma_e is not None else "-"
-            sig_nu = f"{mat.sigma_nu:.4g}" if mat.sigma_nu is not None else "-"
-            print(
-                f"{mat.name:<14} {mat.youngs_modulus:>12.4g} "
-                f"{mat.poisson_ratio:>8.4g} {sig_e:>12} {sig_nu:>9}"
-            )
-        return EXIT_OK
+def cmd_materials_list(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str]:
+    table = material_table(args.materials_file)
+    out = f"{'name':<14} {'E_Pa':>12} {'nu':>8} {'sigma_E_Pa':>12} {'sigma_nu':>9}\n"
+    for mat in [_build_material(table, key) for key in table]:  # a warning made an error: no table
+        sig_e = f"{mat.sigma_e:.4g}" if mat.sigma_e is not None else "-"
+        sig_nu = f"{mat.sigma_nu:.4g}" if mat.sigma_nu is not None else "-"
+        out += (f"{mat.name:<14} {mat.youngs_modulus:>12.4g} "
+                f"{mat.poisson_ratio:>8.4g} {sig_e:>12} {sig_nu:>9}\n")
+    return EXIT_OK, out, ""
+
+
+def cmd_materials_show(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str]:
     mat = _build_material(material_table(args.materials_file), args.name)
-    print(make_record(argv, [_material_dict(mat)]))
-    return EXIT_OK
+    return EXIT_OK, make_record(argv, [_material_dict(mat)]) + "\n", ""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -501,7 +491,9 @@ class _Parser(argparse.ArgumentParser):
     ignores an OSError; add_subparsers makes its subparsers of the same type."""
 
     def print_help(self, file=None) -> None:
-        (file or sys.stdout).write(self.format_help())
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()  # before parse_args exits: a failed write is main()'s error
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -586,15 +578,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     materials = sub.add_parser("materials", help="list or show materials")
-    for command, run in ((sweep, cmd_sweep), (energy, cmd_energy), (validate, cmd_validate),
-                         (materials, cmd_materials)):
-        command.set_defaults(run=run)
     msub = materials.add_subparsers(dest="materials_command", required=True)
     mlist = msub.add_parser("list", help="table of available materials")
     mlist.add_argument("--materials-file", default=None)
     mshow = msub.add_parser("show", help="one material as JSON")
     mshow.add_argument("name")
     mshow.add_argument("--materials-file", default=None)
+    for command, run in ((sweep, cmd_sweep), (energy, cmd_energy), (validate, cmd_validate),
+                         (mlist, cmd_materials_list), (mshow, cmd_materials_show)):
+        command.set_defaults(run=run)
 
     return parser
 
@@ -605,20 +597,25 @@ def main(argv: Sequence[str]) -> int:
     try:
         with warnings.catch_warnings(record=True) as shown:  # the caller's filters decide
             args = parser.parse_args(argv)  # a failed write of --help raises
-            code = args.run(args, argv)
+            code, out, err = args.run(args, argv)
+            sys.stdout.write(out)
             sys.stdout.flush()  # its last write: a full or closed stdout fails the command
     except SystemExit as exc:
         return exc.code  # argparse exits 0 for --help, 2 for a usage error
     except BrokenPipeError:  # an OSError, but the reader of stdout left, not a config
         return EXIT_STDOUT_CLOSED
     except tuple(_EXIT_CODES) as exc:  # only the error: a failed command shows no warning
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
-    for warning in shown:  # one line each, without the package's path or source line
-        print(f"{warning.category.__name__}: {warning.message}", file=sys.stderr)
+        code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        err = f"error: {exc}\n"
+    else:  # one line each, without the package's path or source line
+        err += "".join(f"{w.category.__name__}: {w.message}\n" for w in shown)
+    try:  # stderr last, once: a closed or full one changes no exit code
+        sys.stderr.write(err)
+        sys.stderr.flush()
+    except OSError:
+        pass
     return code
 
 
 if __name__ == "__main__":  # the module entry point is python -m arcplate
-    print("error: run python -m arcplate, not python -m arcplate.cli", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
+    build_parser().exit(EXIT_USAGE, "error: run python -m arcplate, not python -m arcplate.cli\n")

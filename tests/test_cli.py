@@ -3,7 +3,8 @@
 Everything runs in-process through main(argv) except the subprocess checks:
 `python -m arcplate` (whose output, files and exit code must match
 main()'s, and whose exit on a closed, full or unopened stdout, buffered or
-not, and on a FIFO given as --out is checked), the `arcplate` console script
+not, on a closed, full or unopened stderr, and on a FIFO given as --out is
+checked), the `arcplate` console script
 declared in pyproject.toml, launched by name through the same launcher pip
 writes on install, the import of arcplate.cli without numpy, the stderr of
 commands that must not warn about materials they do not use, and the
@@ -169,7 +170,8 @@ class TestModelEpsilon:
     """An epsilon is read as parse_length reads a length: text that names a
     nonzero number but reads as 0.0 underflows, and is a usage error."""
 
-    @pytest.mark.parametrize("eps", ["1e-400", "0.00001E-400", "-2.5e-330"])
+    @pytest.mark.parametrize("eps", ["1e-400", "0.00001E-400", "-2.5e-330",
+                                     "\u0661e-400"])  # an Arabic-Indic one
     def test_underflow_is_a_usage_error(self, capsys, eps):
         code, out, err = run_cli(capsys, "sweep", "--points", "2", "--models", f"scaled-ntlo:{eps}")
         assert code == EXIT_USAGE
@@ -597,6 +599,16 @@ class TestSweepFiles:
         assert err == f"error: [Errno 21] Is a directory: '{tmp_path / 'out.meta.json'}'\n"
         assert out == ""
         assert os.listdir(tmp_path) == ["out.meta.json"]
+
+    @pytest.mark.parametrize("name", ["newdir/", "a.csv/.", "..", "x/.."])
+    def test_path_ending_in_a_directory_writes_nothing(self, capsys, monkeypatch, tmp_path,
+                                                      name):
+        """A path whose last typed component is empty, . or .. names no file,
+        though pathlib drops a trailing / or /. from it."""
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *self.ARGV, "--out", name) == (
+            EXIT_CONFIG, "", f"error: [Errno 21] Is a directory: {name!r}\n")
+        assert os.listdir(tmp_path) == []
 
     def test_csv_directory_leaves_no_sidecar(self, capsys, tmp_path):
         (tmp_path / "out.csv").mkdir()
@@ -1868,6 +1880,47 @@ class TestProcessExit:
         assert self.run_to(fd, ("sweep", "--points", "4", "--out", "o.csv"), env,
                            cwd=tmp_path) == expected
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    STDERR_COMMANDS = {
+        "sweep-2": (EXIT_OK, ("sweep", "--points", "2")),  # silver's warning
+        "sweep-out": (EXIT_OK, ("sweep", "--points", "2", "--out", "z.csv")),
+        "validate-fail": (EXIT_PHYSICS, ("validate", "--thickness", "1um")),
+        "usage": (EXIT_USAGE, ("sweep", "--points", "0")),
+        "argparse-usage": (EXIT_USAGE, ("sweep", "--points", "x")),
+        "physics": (EXIT_PHYSICS, ("energy", "--geometry", "arc", "--gap", "0um")),
+        "help": (EXIT_OK, ("--help",)),
+    }
+
+    @pytest.mark.parametrize("stderr", ["closed", "full", "not-open"])
+    @pytest.mark.parametrize("command", sorted(STDERR_COMMANDS))
+    def test_failed_stderr_changes_no_exit_code(self, tmp_path, command, stderr):
+        """A stderr closed by its reader, full or not open at start changes
+        neither the exit code, the files written nor stdout, which gets
+        nothing meant for stderr."""
+        code, argv = self.STDERR_COMMANDS[command]
+        env = subprocess_env()
+        env.pop("PYTHONWARNINGS", None)
+
+        def child(name, fd):
+            (tmp_path / name).mkdir()
+            try:
+                result = subprocess.run(
+                    [sys.executable, "-m", "arcplate", *argv], stdout=subprocess.PIPE,
+                    stderr=fd, timeout=60, env=env, cwd=tmp_path / name,
+                    preexec_fn=(lambda: os.close(2)) if fd is None else None,
+                )
+            finally:
+                if fd not in (None, subprocess.PIPE):
+                    os.close(fd)
+            return result.returncode, result.stdout, sorted(os.listdir(tmp_path / name))
+
+        if stderr == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        expected = child("piped", subprocess.PIPE)
+        assert expected[0] == code
+        fd = {"closed": closed_stdout, "full": lambda: os.open("/dev/full", os.O_WRONLY),
+              "not-open": lambda: None}[stderr]()
+        assert child("failing", fd) == expected
 
     CASES = {
         "stdout-sweep": (EXIT_OK, ("sweep", "--points", "3")),
