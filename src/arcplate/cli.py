@@ -278,7 +278,7 @@ def _rows_json(columns: list[tuple[str, str | None, list[str]]]) -> str:
 def make_record(argv: Sequence[str], rows: list[dict], **metadata: object) -> str:
     """The JSON text, json.dumps(record, indent=2), of a command's record:
     its rows, and metadata holding the constants, then ``metadata`` in the
-    order given, then the time."""
+    order given, then the time, with the final newline."""
     import json  # here, not at module level: only a record needs these three
     import shlex
     from datetime import datetime, timezone
@@ -293,7 +293,7 @@ def make_record(argv: Sequence[str], rows: list[dict], **metadata: object) -> st
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         },
     }
-    return json.dumps(record, indent=2)
+    return json.dumps(record, indent=2) + "\n"
 
 
 def _material_dict(mat: Material) -> dict:
@@ -302,10 +302,10 @@ def _material_dict(mat: Material) -> dict:
     return {field: value for field, value in values.items() if value is not None}
 
 
-def _write_all(files: list[tuple[str, str]], summary: str) -> None:
-    """Write each (path, text) as UTF-8, then ``summary`` to stdout, all or none.
+def _write_all(files: list[tuple[str, list[str]]], summary: str) -> None:
+    """Write each (path, texts) as UTF-8, then ``summary`` to stdout, all or none.
 
-    Each text first goes to a temporary file beside its path, named with
+    Each file's texts first go to a temporary file beside its path, named with
     this process's id. Once all are written they replace their paths, the
     last first, so the first path appears only after the others are in
     place, and the summary is written and flushed. Until then an earlier
@@ -321,11 +321,11 @@ def _write_all(files: list[tuple[str, str]], summary: str) -> None:
         if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
             raise OSError(errno.EEXIST, "exists and is not a regular file", path)
     try:
-        for path, text in files:
+        for path, texts in files:
             temp = f"{path}.{os.getpid()}.tmp"
             with open(temp, "w", encoding="utf-8") as f:
                 temps.append(temp)
-                f.write(text)
+                f.writelines(texts)
         for (path, _), temp in reversed(list(zip(files, temps))):
             if os.path.isfile(path):
                 old = f"{path}.{os.getpid()}.old"
@@ -366,7 +366,7 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str]
     names = _column_names(config)  # before any work: a token collision exits 2
     gaps, energies, thickness, delta, arc_length = _sweep_columns(config)
     columns = [gaps, *energies, *thickness, *([] if delta is None else [delta])]
-    to_stdout = args.out is None or args.out == "-"
+    to_stdout = args.out == "-"
     texts = [(key, header, list(map(repr, column)))  # the CSV's columns, all with --out
              for (key, header), column in zip(names, columns) if header or not to_stdout]
     text = _render_sweep(texts)
@@ -380,7 +380,7 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str]
     sidecar = out.with_name(out.stem + ".meta.json")
     record = make_record(
         argv,
-        [],  # the first '"rows": []' of the text: json escapes each quote in the command
+        [],  # split at its '"rows": []', the first: json escapes each quote of a value
         geometry={
             "radius_m": config.radius,
             "half_span_m": config.half_span,
@@ -393,7 +393,7 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str]
         models=[m.label for m in config.models],
         csv_file=out.name,
     )
-    sidecar_text = record.replace('"rows": []', '"rows": ' + _rows_json(texts), 1)
+    head, tail = record.split('"rows": []', 1)
 
     ref = config.reference_model()
     ref_columns = thickness[config.models.index(ref)::len(config.models)]  # one per material
@@ -408,7 +408,8 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str]
 
     summary = f"wrote {len(gaps)} rows to {out} (metadata: {sidecar})\n"
     summary += f"first: {show(0)}\nlast:  {show(-1)}\n"
-    _write_all([(str(out), text), (str(sidecar), sidecar_text + "\n")], summary)
+    _write_all([(str(out), [text]), (str(sidecar), [head, '"rows": ', _rows_json(texts), tail])],
+               summary)
     return EXIT_OK, "", ""
 
 
@@ -442,7 +443,7 @@ def cmd_energy(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str
         del row["model"]
     geometry = {"arc": {"radius_m": args.r, "half_span_m": args.span / 2.0}, "parallel": {},
                 "sphere": {"radius_m": args.r}}[args.geometry] | {"gap_m": args.gap}
-    return EXIT_OK, make_record(argv, [row], geometry=geometry) + "\n", ""
+    return EXIT_OK, make_record(argv, [row], geometry=geometry), ""
 
 
 def cmd_validate(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str]:
@@ -483,17 +484,22 @@ def cmd_materials_list(args: argparse.Namespace, argv: list[str]) -> tuple[int, 
 
 def cmd_materials_show(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str]:
     mat = _build_material(material_table(args.materials_file), args.name)
-    return EXIT_OK, make_record(argv, [_material_dict(mat)]) + "\n", ""
+    return EXIT_OK, make_record(argv, [_material_dict(mat)]), ""
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose help fails as any write to stdout does, where argparse's
-    ignores an OSError; add_subparsers makes its subparsers of the same type."""
+    """argparse's parser, but a failed write of its help raises, where argparse's
+    is ignored, and a usage error writes nothing to stdout; so do its subparsers."""
 
     def print_help(self, file=None) -> None:
         file = file or sys.stdout
         file.write(self.format_help())
         file.flush()  # before parse_args exits: a failed write is main()'s error
+
+    def error(self, message: str) -> None:
+        if sys.stderr is None:  # argparse's would print the usage to stdout
+            self.exit(EXIT_USAGE)
+        super().error(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -510,41 +516,41 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--r",
             type=parse_length,
-            default=parse_length("100um"),
+            default="100um",
             metavar="LEN",
-            help="arc radius, unit-suffixed (default 100um)",
+            help="arc radius, unit-suffixed (default %(default)s)",
         )
         sp.add_argument(
             "--span",
             type=parse_length,
-            default=parse_length("6um"),
+            default="6um",
             metavar="LEN",
-            help="full transverse span, i.e. 2*half-span (default 6um)",
+            help="full transverse span, i.e. 2*half-span (default %(default)s)",
         )
 
     sweep = sub.add_parser(
         "sweep", help="critical-thickness sweep over a uniform gap grid (CSV)"
     )
     add_geometry(sweep)
-    sweep.add_argument("--gap-min", type=parse_length, default=parse_length("0.1um"), metavar="LEN")
-    sweep.add_argument("--gap-max", type=parse_length, default=parse_length("1um"), metavar="LEN")
+    sweep.add_argument("--gap-min", type=parse_length, default="0.1um", metavar="LEN")
+    sweep.add_argument("--gap-max", type=parse_length, default="1um", metavar="LEN")
     sweep.add_argument(
         "--points",
         type=int,
         default=1000,
-        help=f"grid size, 1 to {MAX_POINTS:,} (default 1000)",
+        help=f"grid size, 1 to {MAX_POINTS:,} (default %(default)s)",
     )
     sweep.add_argument("--materials", default="gold,silver", help="comma-separated names")
     sweep.add_argument(
         "--models",
         type=parse_models,
-        default=(PFA, NTLO),
-        help="comma-separated: pfa, ntlo, scaled-ntlo:<eps> (default pfa,ntlo)",
+        default="pfa,ntlo",
+        help="comma-separated: pfa, ntlo, scaled-ntlo:<eps> (default %(default)s)",
     )
     sweep.add_argument("--materials-file", default=None, help="JSON file merged over builtins")
     sweep.add_argument(
         "--out",
-        default=None,
+        default="-",
         help="CSV output path (stdout when omitted or -); a .meta.json sidecar "
         "with constants, geometry, materials, models and full rows is written next to it",
     )
@@ -553,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     energy.add_argument("--geometry", choices=list(_ENERGY), required=True)
     add_geometry(energy)
     energy.add_argument("--gap", type=parse_length, required=True, metavar="LEN")
-    energy.add_argument("--model", type=parse_model, default=NTLO)
+    energy.add_argument("--model", type=parse_model, default="ntlo")
     energy.add_argument(
         "--quantity",
         choices=list(dict.fromkeys(q for quantities in _ENERGY.values() for q in quantities)),
@@ -565,10 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="report proximity-validity, contact margin, thin-plate ratios"
     )
     add_geometry(validate)
-    validate.add_argument("--gap", type=parse_length, default=parse_length("0.1um"), metavar="LEN")
-    validate.add_argument(
-        "--thickness", type=parse_length, default=parse_length("10nm"), metavar="LEN"
-    )
+    validate.add_argument("--gap", type=parse_length, default="0.1um", metavar="LEN")
+    validate.add_argument("--thickness", type=parse_length, default="10nm", metavar="LEN")
     validate.add_argument(
         "--span-b",
         type=parse_length,
@@ -609,10 +613,10 @@ def main(argv: Sequence[str]) -> int:
         err = f"error: {exc}\n"
     else:  # one line each, without the package's path or source line
         err += "".join(f"{w.category.__name__}: {w.message}\n" for w in shown)
-    try:  # stderr last, once: a closed or full one changes no exit code
+    try:  # stderr last, once: a closed, full or missing (None) one changes no exit code
         sys.stderr.write(err)
         sys.stderr.flush()
-    except OSError:
+    except (AttributeError, OSError):
         pass
     return code
 

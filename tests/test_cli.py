@@ -199,6 +199,52 @@ class TestModelEpsilon:
         assert json.loads(out)["rows"][0]["model"] == "scaled-ntlo(0)"
 
 
+class TestFlagDefaults:
+    """A default is the text --help shows, which the flag's own type parses
+    only when the flag is absent."""
+
+    @staticmethod
+    def actions(parser):
+        """Every action of the parser and of its subparsers."""
+        for action in parser._actions:
+            yield action
+            if isinstance(action.choices, dict):  # subparsers: name -> parser
+                for sub in action.choices.values():
+                    yield from TestFlagDefaults.actions(sub)
+
+    def test_build_parser_parses_no_value(self, monkeypatch):
+        calls = []
+        for name in ("parse_length", "parse_model", "parse_models"):
+            def counted(text, parse=getattr(arcplate.cli, name), name=name):
+                calls.append(name)
+                return parse(text)
+            monkeypatch.setattr(arcplate.cli, name, counted)
+        parser = arcplate.cli.build_parser()
+        assert calls == []
+        parser.parse_args(["sweep", "--r", "50um"])  # --r's text and the 3 lengths not given
+        assert calls == ["parse_length"] * 4 + ["parse_models"] + ["parse_model"] * 2
+
+    def test_every_default_is_a_text_a_number_or_none(self):
+        defaults = [(action.dest, action.default)
+                    for action in self.actions(arcplate.cli.build_parser())]
+        assert ("out", "-") in defaults
+        assert all(default is None or type(default) in (str, int)
+                   for _, default in defaults), defaults
+
+    def test_defaults_parse_to_their_values(self):
+        parser = arcplate.cli.build_parser()
+        sweep = parser.parse_args(["sweep"])
+        assert (sweep.r, sweep.span, sweep.gap_min, sweep.gap_max, sweep.points, sweep.out) == (
+            float("100e-6"), float("6e-6"), float("1e-7"), float("1e-6"), 1000, "-")
+        assert len(sweep.models) == 2 and sweep.models[0] is PFA and sweep.models[1] is NTLO
+        energy = parser.parse_args(["energy", "--geometry", "arc", "--gap", "1um"])
+        assert (energy.r, energy.span, energy.gap) == (float("100e-6"), float("6e-6"), 1e-6)
+        assert energy.model is NTLO
+        validate = parser.parse_args(["validate"])
+        assert (validate.r, validate.span, validate.gap, validate.thickness, validate.span_b) == (
+            float("100e-6"), float("6e-6"), float("1e-7"), float("1e-8"), None)
+
+
 class TestMaterialKey:
     def test_builtin_tokens(self):
         assert material_key("gold") == "au"
@@ -488,7 +534,8 @@ class TestSweepOutputContract:
 
     def test_rows_placeholder_in_the_command_line(self, capsys, tmp_path, monkeypatch):
         """The sidecar is the record's text with the rows in place of its
-        first '"rows": []', which no quote of the command line can form."""
+        own "rows" key, which no quote of the command line or of a name can
+        form: byte for byte, timestamp aside."""
         folder = tmp_path / 'd"rows": []'
         folder.mkdir()
         (folder / 'm"rows": [].json').write_text(
@@ -500,6 +547,10 @@ class TestSweepOutputContract:
         assert run_cli(capsys, *argv)[0] == EXIT_OK
         sidecar = Path('o"rows": [].meta.json').read_text()
         assert sidecar == json.dumps(json.loads(sidecar), indent=2) + "\n"
+        blanked = re.sub(r'"timestamp_utc": "[^"]*"', '"timestamp_utc": ""', sidecar)
+        assert hashlib.sha256(blanked.encode()).hexdigest() == (
+            "5737b69eef62de2ea1b8d38d87a7601037b427cada01650569990ced1f967b6a"
+        )
         record = json.loads(sidecar, parse_float=str)
         assert record["metadata"]["materials"][0]["name"] == 'x"rows": []'
         header, *lines = Path('o"rows": [].csv').read_text().splitlines()
@@ -1921,6 +1972,21 @@ class TestProcessExit:
         fd = {"closed": closed_stdout, "full": lambda: os.open("/dev/full", os.O_WRONLY),
               "not-open": lambda: None}[stderr]()
         assert child("failing", fd) == expected
+
+    @pytest.mark.parametrize("code, argv", [
+        (EXIT_PHYSICS, ("energy", "--geometry", "arc", "--gap", "0um")),
+        (EXIT_OK, ("sweep", "--points", "2")),  # silver's warning
+        (EXIT_USAGE, ("sweep", "--points", "x")),  # argparse's usage error
+    ], ids=["physics", "warning", "argparse-usage"])
+    def test_missing_stderr_changes_no_exit_code(self, capsys, monkeypatch, code, argv):
+        """An in-process main() while sys.stderr is None, as under an
+        embedding or pythonw caller, returns the code it returns with a
+        stderr and writes to stdout only what it writes there with one."""
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == code
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(list(argv)) == code
+        assert capsys.readouterr().out == expected[1]
 
     CASES = {
         "stdout-sweep": (EXIT_OK, ("sweep", "--points", "3")),
