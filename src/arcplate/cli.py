@@ -40,6 +40,7 @@ from .errors import ArcPlateError, MaterialConfigError, MaterialNotFoundError
 from .geometry import ArcGeometry
 
 SCHEMA_VERSION = "2"
+_Files = list[tuple[str, list[str]]]  # (path, texts) of each file a command returns
 
 EXIT_OK = 0
 EXIT_STDOUT_CLOSED = 1  # as a Python program whose stdout pipe broke
@@ -302,13 +303,13 @@ def _material_dict(mat: Material) -> dict:
     return {field: value for field, value in values.items() if value is not None}
 
 
-def _write_all(files: list[tuple[str, list[str]]], summary: str) -> None:
-    """Write each (path, texts) as UTF-8, then ``summary`` to stdout, all or none.
+def _write_all(files: _Files, out: str) -> None:
+    """Write each (path, texts) as UTF-8, then ``out`` to stdout, all or none.
 
     Each file's texts first go to a temporary file beside its path, named with
     this process's id. Once all are written they replace their paths, the
     last first, so the first path appears only after the others are in
-    place, and the summary is written and flushed. Until then an earlier
+    place, and ``out`` is written and flushed. Until then an earlier
     file at each path waits under its temporary's name with .old for .tmp.
     On any error, stdout's too, the temporaries and any path already
     replaced are removed, each earlier file gets its name back, and an
@@ -334,8 +335,8 @@ def _write_all(files: list[tuple[str, list[str]]], summary: str) -> None:
             os.replace(temp, path)
             placed.append(path)
         path = None  # an error of stdout names no file
-        sys.stdout.write(summary)
-        sys.stdout.flush()
+        sys.stdout.write(out)
+        sys.stdout.flush()  # its last write: a full or closed stdout fails the command
     except BaseException as exc:
         for name in temps + placed:
             try:
@@ -351,7 +352,7 @@ def _write_all(files: list[tuple[str, list[str]]], summary: str) -> None:
         os.remove(old)
 
 
-def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str]:
+def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str, _Files]:
     table = material_table(args.materials_file)
     materials = tuple(_build_material(table, name) for name in args.materials.split(","))
     config = SweepConfig(
@@ -371,7 +372,7 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str]
              for (key, header), column in zip(names, columns) if header or not to_stdout]
     text = _render_sweep(texts)
     if to_stdout:
-        return EXIT_OK, text, ""
+        return EXIT_OK, text, "", []
     if os.path.basename(args.out) in ("", ".", ".."):  # no file to write, nor a sidecar name
         code = errno.EISDIR if args.out else errno.ENOENT
         raise OSError(code, os.strerror(code), args.out)
@@ -406,11 +407,9 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str]
         ]
         return "; ".join(cells)
 
+    files = [(str(out), [text]), (str(sidecar), [head, '"rows": ', _rows_json(texts), tail])]
     summary = f"wrote {len(gaps)} rows to {out} (metadata: {sidecar})\n"
-    summary += f"first: {show(0)}\nlast:  {show(-1)}\n"
-    _write_all([(str(out), [text]), (str(sidecar), [head, '"rows": ', _rows_json(texts), tail])],
-               summary)
-    return EXIT_OK, "", ""
+    return EXIT_OK, f"{summary}first: {show(0)}\nlast:  {show(-1)}\n", "", files
 
 
 # geometry -> quantity -> (row key, value at the parsed arguments); the first
@@ -429,7 +428,7 @@ _ENERGY = {
 }
 
 
-def cmd_energy(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str]:
+def cmd_energy(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str, _Files]:
     quantities = _ENERGY[args.geometry]
     quantity = args.quantity or next(iter(quantities))
     if quantity not in quantities:
@@ -443,10 +442,10 @@ def cmd_energy(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str
         del row["model"]
     geometry = {"arc": {"radius_m": args.r, "half_span_m": args.span / 2.0}, "parallel": {},
                 "sphere": {"radius_m": args.r}}[args.geometry] | {"gap_m": args.gap}
-    return EXIT_OK, make_record(argv, [row], geometry=geometry), ""
+    return EXIT_OK, make_record(argv, [row], geometry=geometry), "", []
 
 
-def cmd_validate(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str]:
+def cmd_validate(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str, _Files]:
     # geometry construction itself raises on contact or gap/radius >= 1;
     # main() maps those to exit 3 with the violated condition in the message
     geom = ArcGeometry(radius=args.r, half_span=args.span / 2.0, gap=args.gap)
@@ -466,12 +465,12 @@ def cmd_validate(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, s
     if report.hard_failure or not thin.passed:
         failure = ("gap/radius beyond the 0.5 hard threshold" if report.hard_failure
                    else "thin-plate tenth rule violated")
-        return EXIT_PHYSICS, out, f"result: FAIL ({failure})\n"
+        return EXIT_PHYSICS, out, f"result: FAIL ({failure})\n", []
     verdict = "result: pass" + (" (with warnings)" if report.status == "warn" else "")
-    return EXIT_OK, f"{out}{verdict}\n", ""
+    return EXIT_OK, f"{out}{verdict}\n", "", []
 
 
-def cmd_materials_list(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str]:
+def cmd_materials_list(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str, _Files]:
     table = material_table(args.materials_file)
     out = f"{'name':<14} {'E_Pa':>12} {'nu':>8} {'sigma_E_Pa':>12} {'sigma_nu':>9}\n"
     for mat in [_build_material(table, key) for key in table]:  # a warning made an error: no table
@@ -479,12 +478,12 @@ def cmd_materials_list(args: argparse.Namespace, argv: list[str]) -> tuple[int, 
         sig_nu = f"{mat.sigma_nu:.4g}" if mat.sigma_nu is not None else "-"
         out += (f"{mat.name:<14} {mat.youngs_modulus:>12.4g} "
                 f"{mat.poisson_ratio:>8.4g} {sig_e:>12} {sig_nu:>9}\n")
-    return EXIT_OK, out, ""
+    return EXIT_OK, out, "", []
 
 
-def cmd_materials_show(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str]:
+def cmd_materials_show(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str, _Files]:
     mat = _build_material(material_table(args.materials_file), args.name)
-    return EXIT_OK, make_record(argv, [_material_dict(mat)]), ""
+    return EXIT_OK, make_record(argv, [_material_dict(mat)]), "", []
 
 
 class _Parser(argparse.ArgumentParser):
@@ -596,14 +595,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str]) -> int:
+    if sys.stdout is None:  # an embedding or pythonw caller: as run() with fd 1 closed
+        return EXIT_STDOUT_CLOSED
     argv = list(argv)
     parser = build_parser()
     try:
         with warnings.catch_warnings(record=True) as shown:  # the caller's filters decide
             args = parser.parse_args(argv)  # a failed write of --help raises
-            code, out, err = args.run(args, argv)
-            sys.stdout.write(out)
-            sys.stdout.flush()  # its last write: a full or closed stdout fails the command
+            code, out, err, files = args.run(args, argv)
+            _write_all(files, out)  # the files, then stdout: a failed write of either fails all
     except SystemExit as exc:
         return exc.code  # argparse exits 0 for --help, 2 for a usage error
     except BrokenPipeError:  # an OSError, but the reader of stdout left, not a config

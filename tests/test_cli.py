@@ -750,6 +750,51 @@ class TestSweepFiles:
             assert len(json.loads(sidecar)["rows"]) == 3
 
 
+class TestCommandsWriteNothing:
+    """A command returns its exit code, stdout text, stderr text and files,
+    and writes none of them: main() writes the files, then stdout, then
+    stderr."""
+
+    ARGVS = {
+        "sweep-out": ("sweep", "--out", "s.csv"),
+        "sweep": ("sweep",),
+        "energy": ("energy", "--geometry", "arc", "--gap", "0.1um"),
+        "validate": ("validate",),
+        "materials-list": ("materials", "list"),
+        "materials-show": ("materials", "show", "gold"),
+    }
+
+    @staticmethod
+    def run_command(argv):
+        argv = list(argv)
+        args = arcplate.cli.build_parser().parse_args(argv)
+        return args.run(args, argv)
+
+    @pytest.mark.parametrize("command", sorted(ARGVS))
+    def test_command_writes_nothing(self, capsys, monkeypatch, tmp_path, command):
+        monkeypatch.chdir(tmp_path)
+        code, out, err, files = self.run_command(self.ARGVS[command])
+        assert capsys.readouterr() == ("", "")
+        assert os.listdir(tmp_path) == []
+        assert (code, err) == (EXIT_OK, "")
+        assert out
+        assert [path for path, _ in files] == (
+            ["s.csv", "s.meta.json"] if command == "sweep-out" else [])
+
+    def test_sweep_files_are_what_main_writes(self, capsys, monkeypatch, tmp_path):
+        """The texts sweep --out returns, joined, are the bytes main() writes
+        to its two paths, the sidecar's timestamp aside, and its stdout text
+        is main()'s stdout: the summary."""
+        monkeypatch.chdir(tmp_path)
+        code, out, err, files = self.run_command(self.ARGVS["sweep-out"])
+        assert run_cli(capsys, *self.ARGVS["sweep-out"]) == (code, out, err)
+        assert out.startswith("wrote 1000 rows to s.csv (metadata: s.meta.json)\nfirst: gap ")
+        returned = {path: "".join(texts).encode("utf-8") for path, texts in files}
+        assert TestProcessExit.files(tmp_path) == {
+            path: re.sub(rb'"timestamp_utc": "[^"]*"', b'"timestamp_utc": ""', text)
+            for path, text in returned.items()}
+
+
 class TestMaterialWarnings:
     """stderr names no material that the command does not use, and a command
     shows its warnings only once it has succeeded."""
@@ -1987,6 +2032,20 @@ class TestProcessExit:
         monkeypatch.setattr(sys, "stderr", None)
         assert main(list(argv)) == code
         assert capsys.readouterr().out == expected[1]
+
+    @pytest.mark.parametrize("argv", [
+        ("validate",), ("--help",), ("sweep", "--points", "2", "--out", "s.csv"),
+    ], ids=["validate", "help", "sweep-out"])
+    def test_missing_stdout_exits_1_and_writes_nothing(self, capsys, monkeypatch, tmp_path,
+                                                       argv):
+        """An in-process main() while sys.stdout is None, as under an
+        embedding or pythonw caller, returns 1, as run() does for a process
+        started with fd 1 closed, and writes nothing: no stderr, no file."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(list(argv)) == EXIT_STDOUT_CLOSED
+        assert capsys.readouterr() == ("", "")
+        assert os.listdir(tmp_path) == []
 
     CASES = {
         "stdout-sweep": (EXIT_OK, ("sweep", "--points", "3")),
