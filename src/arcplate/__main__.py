@@ -11,19 +11,15 @@ def run() -> int:
     """Run the command line on sys.argv, end stdout, freeze the collector
     and return main()'s exit code; cli.main() touches no process state.
 
-    A stderr not open at start is os.devnull, so that nothing meant for it,
-    argparse's usage text included, reaches stdout. stdout is flushed once
-    more, for what a failed write left in its buffer. If that fails, stdout
-    is pointed at os.devnull, as the note on SIGPIPE in the signal module's
-    documentation does, so the flush at exit writes nowhere and main()'s
-    code stands. gc.freeze() moves what is left into the permanent
-    generation, which the interpreter's final collections skip, so exit
-    does not free the heap; atexit handlers still run.
+    stdout is flushed once more, for what a failed write left in its
+    buffer. If that fails, stdout is pointed at os.devnull, as the note on
+    SIGPIPE in the signal module's documentation does, so the flush at exit
+    writes nowhere and main()'s code stands. gc.freeze() moves what is left
+    into the permanent generation, which the interpreter's final collections
+    skip, so exit does not free the heap; atexit handlers still run.
     """
     if sys.stdout is None:  # started with file descriptor 1 closed: as a reader that left
         return EXIT_STDOUT_CLOSED
-    if sys.stderr is None:  # started with file descriptor 2 closed
-        sys.stderr = open(os.devnull, "w")
     code = main(sys.argv[1:])
     try:
         sys.stdout.flush()

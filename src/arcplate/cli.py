@@ -262,18 +262,22 @@ def _render_sweep(columns: list[tuple[str, str | None, list[str]]]) -> str:
     csv = [(header, texts) for _, header, texts in columns if header is not None]
     csv_lines = [",".join(header for header, _ in csv)]
     csv_lines += map(",".join, zip(*(texts for _, texts in csv)))
-    return "\n".join(csv_lines) + "\n"
+    return "\n".join([*csv_lines, ""])
 
 
-def _rows_json(columns: list[tuple[str, str | None, list[str]]]) -> str:
-    """The sidecar's "rows" array as JSON text, from (sidecar key, CSV header,
-    reprs) of every column, laid out as json.dumps(..., indent=2) lays it out
-    as the value of a top-level key. Every column of a sweep is finite, so
-    each repr is what json writes."""
+def _rows_json(columns: list[tuple[str, str | None, list[str]]]) -> list[str]:
+    """The sidecar's "rows" array as JSON text in pieces, one string per row
+    and a last one closing the array, from (sidecar key, CSV header, reprs)
+    of every column, laid out as json.dumps(..., indent=2) lays it out as the
+    value of a top-level key. Every column of a sweep is finite, so each repr
+    is what json writes."""
     import json
 
-    row = "{\n      " + ",\n      ".join(json.dumps(key) + ": %s" for key, *_ in columns) + "\n    }"
-    return "[\n    " + ",\n    ".join(map(row.__mod__, zip(*(t for *_, t in columns)))) + "\n  ]"
+    row = ",\n    {\n      " + ",\n      ".join(json.dumps(key) + ": %s" for key, *_ in columns) + "\n    }"
+    rows = list(map(row.__mod__, zip(*(t for *_, t in columns))))
+    rows[0] = "[" + rows[0][1:]  # the first row opens the array where the others have a comma
+    rows.append("\n  ]")
+    return rows
 
 
 def make_record(argv: Sequence[str], rows: list[dict], **metadata: object) -> str:
@@ -407,7 +411,7 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str,
         ]
         return "; ".join(cells)
 
-    files = [(str(out), [text]), (str(sidecar), [head, '"rows": ', _rows_json(texts), tail])]
+    files = [(str(out), [text]), (str(sidecar), [head, '"rows": ', *_rows_json(texts), tail])]
     summary = f"wrote {len(gaps)} rows to {out} (metadata: {sidecar})\n"
     return EXIT_OK, f"{summary}first: {show(0)}\nlast:  {show(-1)}\n", "", files
 

@@ -28,6 +28,7 @@ import subprocess
 import sys
 import tempfile
 import tomllib
+import tracemalloc
 import typing
 import warnings
 from datetime import datetime
@@ -748,6 +749,30 @@ class TestSweepFiles:
             assert (tmp_path / "out.csv").read_bytes() == stdout_csv.encode()
             sidecar = (tmp_path / "out.meta.json").read_text()
             assert len(json.loads(sidecar)["rows"]) == 3
+
+    def test_writing_the_sidecar_adds_no_copy_of_its_rows(self, capsys, monkeypatch, tmp_path):
+        """_write_all gets the sidecar's rows one string per row, so its traced
+        heap grows by less than half the sidecar's length while it writes the
+        pair: the CSV's own encode, not a copy of the whole rows text."""
+        growth = []
+        write_all = arcplate.cli._write_all
+
+        def traced(files, out):
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_all(files, out)
+            growth.append(tracemalloc.get_traced_memory()[1] - entry)
+
+        monkeypatch.setattr(arcplate.cli, "_write_all", traced)
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "sweep", "--points", "2000", "--out",
+                                 str(tmp_path / "out.csv"))
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert len(growth) == 1
+        assert growth[0] < (tmp_path / "out.meta.json").stat().st_size / 2
 
 
 class TestCommandsWriteNothing:
