@@ -23,6 +23,7 @@ from .errors import (
 from .geometry import ArcGeometry, Frozen
 
 __all__ = [
+    "MAX_CELLS",
     "MAX_POINTS",
     "SweepConfig",
     "SweepRow",
@@ -35,6 +36,9 @@ __all__ = [
 # Largest gap grid a sweep accepts; larger requests are rejected before any
 # row is computed.
 MAX_POINTS = 1_000_000
+# Largest sweep in cells, points times sidecar columns: the point cap at the
+# default sweep's 8 columns.
+MAX_CELLS = 8_000_000
 
 
 def critical_thickness(u_casimir: float, mat: Material, geom: ArcGeometry) -> float:
@@ -98,6 +102,11 @@ class SweepConfig(Frozen):
                    tuple(models), comparison))
         if not 1 <= self.points <= MAX_POINTS:
             raise ValueError(f"points must lie in [1, {MAX_POINTS:,}], got {self.points}")
+        columns = 1 + len(self.models) * (1 + len(self.materials))  # gap, energies, thicknesses
+        columns += self.resolved_comparison() is not None  # and delta
+        if self.points * columns > MAX_CELLS:
+            raise ValueError(f"cells (points x columns) must be at most {MAX_CELLS:,}, got "
+                             f"{self.points:,} x {columns} = {self.points * columns:,}")
         for gap in (self.gap_min, self.gap_max):
             if not gap > 0.0:
                 raise NonPositiveGapError(f"gap must be positive, got {gap}")

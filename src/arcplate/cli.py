@@ -18,7 +18,8 @@ import os
 import re
 import sys
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 
 from .analysis import MAX_POINTS, SweepConfig, _sweep_columns
 from .casimir import (
@@ -40,7 +41,7 @@ from .errors import ArcPlateError, MaterialConfigError, MaterialNotFoundError
 from .geometry import ArcGeometry
 
 SCHEMA_VERSION = "2"
-_Files = list[tuple[str, list[str]]]  # (path, texts) of each file a command returns
+_Files = list[tuple[str, Iterable[str]]]  # (path, texts) of each file a command returns
 
 EXIT_OK = 0
 EXIT_STDOUT_CLOSED = 1  # as a Python program whose stdout pipe broke
@@ -265,19 +266,19 @@ def _render_sweep(columns: list[tuple[str, str | None, list[str]]]) -> str:
     return "\n".join([*csv_lines, ""])
 
 
-def _rows_json(columns: list[tuple[str, str | None, list[str]]]) -> list[str]:
-    """The sidecar's "rows" array as JSON text in pieces, one string per row
-    and a last one closing the array, from (sidecar key, CSV header, reprs)
-    of every column, laid out as json.dumps(..., indent=2) lays it out as the
-    value of a top-level key. Every column of a sweep is finite, so each repr
-    is what json writes."""
+def _rows_json(columns: list[tuple[str, str | None, list[str]]]) -> Iterator[str]:
+    """The sidecar's "rows" array as JSON text, one row at a time as it is
+    read, the first opening the array, then a piece closing it, from (sidecar
+    key, CSV header, reprs) of every column of one row or more, laid out as
+    json.dumps(..., indent=2) lays out a top-level key's value. Every column
+    of a sweep is finite, so each repr is what json writes."""
     import json
 
     row = ",\n    {\n      " + ",\n      ".join(json.dumps(key) + ": %s" for key, *_ in columns) + "\n    }"
-    rows = list(map(row.__mod__, zip(*(t for *_, t in columns))))
-    rows[0] = "[" + rows[0][1:]  # the first row opens the array where the others have a comma
-    rows.append("\n  ]")
-    return rows
+    rows = map(row.__mod__, zip(*(t for *_, t in columns)))
+    yield "[" + next(rows)[1:]  # the first row opens the array where the others have a comma
+    yield from rows
+    yield "\n  ]"
 
 
 def make_record(argv: Sequence[str], rows: list[dict], **metadata: object) -> str:
@@ -310,33 +311,34 @@ def _material_dict(mat: Material) -> dict:
 def _write_all(files: _Files, out: str) -> None:
     """Write each (path, texts) as UTF-8, then ``out`` to stdout, all or none.
 
-    Each file's texts first go to a temporary file beside its path, named with
-    this process's id. Once all are written they replace their paths, the
-    last first, so the first path appears only after the others are in
-    place, and ``out`` is written and flushed. Until then an earlier
-    file at each path waits under its temporary's name with .old for .tmp.
-    On any error, stdout's too, the temporaries and any path already
-    replaced are removed, each earlier file gets its name back, and an
-    OSError of a file names the path given, not the temporary.
+    Each file's texts, an iterable of strings, go to a temporary file beside
+    its path, named by at most 32 characters of its name, this process's id
+    and the file's index, whatever the path's length. Once all are written
+    they replace their paths, the last first, so the first path appears only
+    after the others are in place, and ``out`` is written and flushed. Until
+    then an earlier file at each path waits under its temporary's name with
+    .old for .tmp. On any error, stdout's too, the temporaries and any path
+    already replaced are removed, each earlier file gets its name back, and
+    an OSError of a file names the path given, not the temporary.
     """
     temps: list[str] = []
     placed: list[str] = []
     earlier: list[tuple[str, str]] = []  # (path, where its earlier file waits)
+    stems = [os.path.join(head, f"{name[:32]}.{os.getpid()}-{i}")  # + .tmp or .old
+             for i, (head, name) in enumerate(os.path.split(path) for path, _ in files)]
     for path, _ in files:  # stat only: opening a FIFO to write blocks, replacing it removes it
         if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
             raise OSError(errno.EEXIST, "exists and is not a regular file", path)
     try:
-        for path, texts in files:
-            temp = f"{path}.{os.getpid()}.tmp"
-            with open(temp, "w", encoding="utf-8") as f:
-                temps.append(temp)
+        for (path, texts), stem in zip(files, stems):
+            with open(stem + ".tmp", "w", encoding="utf-8") as f:
+                temps.append(f.name)
                 f.writelines(texts)
-        for (path, _), temp in reversed(list(zip(files, temps))):
+        for (path, _), stem in reversed(list(zip(files, stems))):
             if os.path.isfile(path):
-                old = f"{path}.{os.getpid()}.old"
-                os.replace(path, old)
-                earlier.append((path, old))
-            os.replace(temp, path)
+                os.replace(path, stem + ".old")
+                earlier.append((path, stem + ".old"))
+            os.replace(stem + ".tmp", path)
             placed.append(path)
         path = None  # an error of stdout names no file
         sys.stdout.write(out)
@@ -370,10 +372,19 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str,
     )
     names = _column_names(config)  # before any work: a token collision exits 2
     gaps, energies, thickness, delta, arc_length = _sweep_columns(config)
-    columns = [gaps, *energies, *thickness, *([] if delta is None else [delta])]
+    ref = config.reference_model()
+    ref_columns = thickness[config.models.index(ref)::len(config.models)]  # one per material
+    shown = "".join(f"{label}gap {gaps[i]:.4g} m" + "".join(  # the summary's last two lines
+        f"; t_max[{mat.name}, {ref.label}] = {column[i]:.4g} m"
+        for mat, column in zip(config.materials, ref_columns)) + "\n"
+        for label, i in (("first: ", 0), ("last:  ", -1)))
     to_stdout = args.out == "-"
-    texts = [(key, header, list(map(repr, column)))  # the CSV's columns, all with --out
-             for (key, header), column in zip(names, columns) if header or not to_stdout]
+    columns = [gaps, *energies, *thickness, *([] if delta is None else [delta])]
+    texts = []  # the CSV's columns, all with --out
+    for (key, header), column in zip(names, columns):
+        if header or not to_stdout:
+            texts.append((key, header, list(map(repr, column))))
+        column.clear()  # each float column goes once it is formatted
     text = _render_sweep(texts)
     if to_stdout:
         return EXIT_OK, text, "", []
@@ -399,21 +410,9 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str,
         csv_file=out.name,
     )
     head, tail = record.split('"rows": []', 1)
-
-    ref = config.reference_model()
-    ref_columns = thickness[config.models.index(ref)::len(config.models)]  # one per material
-
-    def show(i: int) -> str:
-        cells = [f"gap {gaps[i]:.4g} m"]
-        cells += [
-            f"t_max[{mat.name}, {ref.label}] = {column[i]:.4g} m"
-            for mat, column in zip(config.materials, ref_columns)
-        ]
-        return "; ".join(cells)
-
-    files = [(str(out), [text]), (str(sidecar), [head, '"rows": ', *_rows_json(texts), tail])]
-    summary = f"wrote {len(gaps)} rows to {out} (metadata: {sidecar})\n"
-    return EXIT_OK, f"{summary}first: {show(0)}\nlast:  {show(-1)}\n", "", files
+    files = [(str(out), [text]),  # each sidecar row is made as it is written
+             (str(sidecar), chain([head, '"rows": '], _rows_json(texts), [tail]))]
+    return EXIT_OK, f"wrote {config.points} rows to {out} (metadata: {sidecar})\n{shown}", "", files
 
 
 # geometry -> quantity -> (row key, value at the parsed arguments); the first

@@ -29,7 +29,7 @@ from arcplate import (
     run_sweep,
     scaled_ntlo,
 )
-from arcplate.analysis import MAX_POINTS, _bending_coefficient
+from arcplate.analysis import MAX_CELLS, MAX_POINTS, _bending_coefficient
 from oracles import reference_sweep
 
 R = 100e-6
@@ -198,6 +198,16 @@ class TestSweepConfig:
         assert config(points=MAX_POINTS).points == MAX_POINTS  # grid not built
         with pytest.raises(ValueError, match="points"):
             config(points=MAX_POINTS + 1)
+
+    def test_cells_cap(self):
+        """A sweep has 1 + M + N*M columns, plus delta with a comparison, for
+        M models and N materials: 800,000 points of 10 columns are MAX_CELLS
+        cells and pass, 888,889 of 9 are one more and are refused."""
+        models = (PFA, NTLO, scaled_ntlo(0.1), scaled_ntlo(0.2))
+        assert config(points=800_000, materials=(GOLD,), models=models).points == 800_000
+        assert 800_000 * 10 == MAX_CELLS
+        with pytest.raises(ValueError, match="888,889 x 9 = 8,000,001"):
+            config(points=888_889, materials=(GOLD,), models=(NTLO, *models[2:], scaled_ntlo(0.3)))
 
     @pytest.mark.parametrize(
         "overrides",

@@ -425,6 +425,16 @@ class TestSweep:
         code, _, _ = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
 
+    def test_one_cell_above_the_cap_exits_2_writing_nothing(self, capsys, monkeypatch, tmp_path):
+        """888,889 points of 9 columns (the gap, 4 energies, 4 thicknesses)
+        are MAX_CELLS + 1 cells: refused before any work."""
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, "sweep", "--points", "888889", "--materials", "gold", "--models",
+                       "ntlo,scaled-ntlo:0.1,scaled-ntlo:0.2,scaled-ntlo:0.3", "--out", "s.csv") == (
+            EXIT_USAGE, "", "error: cells (points x columns) must be at most 8,000,000, got "
+                            "888,889 x 9 = 8,000,001\n")
+        assert os.listdir(tmp_path) == []
+
     def test_contact_gap_is_a_physics_error(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--points", "2", "--gap-min", "40nm", "--gap-max", "1um"
@@ -773,6 +783,36 @@ class TestSweepFiles:
         assert code == EXIT_OK
         assert len(growth) == 1
         assert growth[0] < (tmp_path / "out.meta.json").stat().st_size / 2
+
+    def test_the_sweep_peak_holds_no_float_column_nor_the_whole_rows(self, capsys, tmp_path):
+        """Each float column is freed once it is formatted and each sidecar row
+        is made as it is written, so the traced peak of sweep --out stays
+        below three times the sidecar's size. Holding the floats through the
+        render and every row string before the write peaks near four times."""
+        argv = ["sweep", "--points", "2000", "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == EXIT_OK  # warm: the imports and the record's modules are loaded
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 3 * (tmp_path / "out.meta.json").stat().st_size
+
+    @pytest.mark.skipif(not hasattr(os, "pathconf"), reason="no pathconf")
+    def test_a_sidecar_name_at_the_length_limit_is_written(self, capsys, tmp_path):
+        """A pair whose sidecar name is as long as its directory allows is
+        written, and written again over the earlier pair: the temporaries and
+        the earlier files waiting aside have short names, whatever the
+        path's length."""
+        stem = "b" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len(".meta.json"))
+        for _ in range(2):
+            code, out, err = run_cli(capsys, *self.ARGV, "--out", str(tmp_path / f"{stem}.csv"))
+            assert (code, err) == (EXIT_OK, "")
+            assert out.startswith(f"wrote 3 rows to {tmp_path / stem}.csv ")
+            assert sorted(os.listdir(tmp_path)) == [f"{stem}.csv", f"{stem}.meta.json"]
 
 
 class TestCommandsWriteNothing:
