@@ -70,7 +70,7 @@ _UNITS = {
     "m": 0,
 }
 _LENGTH_RE = re.compile(
-    r"^([+-]?(?:\d+\.?\d*|\.\d+))(?:[eE]([+-]?\d+))?([a-zA-Zµ]+)$"
+    r"^([+-]?(?:\d+(?:\.\d*)?|\.\d+))(?:[eE]([+-]?\d+))?([a-zA-Zµ]+)$"
 )
 
 # CSV column tokens for the builtin materials; anything else gets its
@@ -98,9 +98,15 @@ def parse_length(text: str) -> float:
     value = float(f"{mantissa}e{int(exponent or 0) + _UNITS[unit]}")
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"length {text!r} overflows a double")
-    if value == 0.0 and float(mantissa) != 0.0:
+    if value == 0.0 and _nonzero(mantissa):
         raise argparse.ArgumentTypeError(f"length {text!r} underflows a double")
     return value
+
+
+def _nonzero(significand: str) -> bool:
+    """Whether the text has a nonzero decimal digit, any script's: read from
+    the digits, as a float of them underflows too when they are many."""
+    return any(c.isdecimal() and int(c) for c in significand)
 
 
 def parse_model(token: str) -> EnergyModel:
@@ -117,7 +123,7 @@ def parse_model(token: str) -> EnergyModel:
             raise argparse.ArgumentTypeError(
                 f"bad epsilon {raw!r} in model {token!r}"
             ) from None
-        if eps == 0.0 and float(raw.partition("e")[0]) != 0.0:
+        if eps == 0.0 and _nonzero(raw.partition("e")[0]):
             raise argparse.ArgumentTypeError(
                 f"epsilon {raw!r} in model {token!r} underflows a double"
             )
@@ -178,6 +184,8 @@ def material_table(path: str | None) -> dict[str, dict]:
         raise MaterialConfigError(f"materials file {path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MaterialConfigError(f"materials file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # unmapped, it would end the command in a traceback
+        raise MaterialConfigError(f"materials file {path} nests too deeply to read") from exc
     if not isinstance(doc, list):
         raise MaterialConfigError(f"materials file {path} must be a JSON array of objects")
     first: dict[str, int] = {}  # lower-cased name -> index of its entry
@@ -252,33 +260,13 @@ def _column_names(config: SweepConfig) -> list[tuple[str, str | None]]:
     return names
 
 
-def _render_sweep(columns: list[tuple[str, str | None, list[str]]]) -> str:
-    """The CSV text of a sweep from (sidecar key, CSV header, reprs) of its
-    columns, ordered as _column_names gives: the columns with a header.
-
-    A repr round-trips bit-exactly and is also how json writes a finite
-    float, so the same string goes to the CSV cell and to the sidecar row,
-    and each value is formatted once.
-    """
-    csv = [(header, texts) for _, header, texts in columns if header is not None]
-    csv_lines = [",".join(header for header, _ in csv)]
-    csv_lines += map(",".join, zip(*(texts for _, texts in csv)))
-    return "\n".join([*csv_lines, ""])
-
-
-def _rows_json(columns: list[tuple[str, str | None, list[str]]]) -> Iterator[str]:
-    """The sidecar's "rows" array as JSON text, one row at a time as it is
-    read, the first opening the array, then a piece closing it, from (sidecar
-    key, CSV header, reprs) of every column of one row or more, laid out as
-    json.dumps(..., indent=2) lays out a top-level key's value. Every column
-    of a sweep is finite, so each repr is what json writes."""
-    import json
-
-    row = ",\n    {\n      " + ",\n      ".join(json.dumps(key) + ": %s" for key, *_ in columns) + "\n    }"
-    rows = map(row.__mod__, zip(*(t for *_, t in columns)))
-    yield "[" + next(rows)[1:]  # the first row opens the array where the others have a comma
-    yield from rows
-    yield "\n  ]"
+def _rows(template: str, columns: list[list[str]]) -> Iterator[str]:
+    """The text of each row of ``columns``, made as it is read: ``template``
+    filled with the row's cell of every column. Every CSV line and every
+    sidecar row of a sweep is made here, from the same reprs: a repr
+    round-trips bit-exactly and is also how json writes a finite float, so
+    each value is formatted once for both files."""
+    return map(template.__mod__, zip(*columns))
 
 
 def make_record(argv: Sequence[str], rows: list[dict], **metadata: object) -> str:
@@ -380,14 +368,16 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str,
         for label, i in (("first: ", 0), ("last:  ", -1)))
     to_stdout = args.out == "-"
     columns = [gaps, *energies, *thickness, *([] if delta is None else [delta])]
-    texts = []  # the CSV's columns, all with --out
+    texts = []  # (sidecar key, CSV header, reprs) of the CSV's columns, of all with --out
     for (key, header), column in zip(names, columns):
         if header or not to_stdout:
             texts.append((key, header, list(map(repr, column))))
         column.clear()  # each float column goes once it is formatted
-    text = _render_sweep(texts)
+    csv = [(header, reprs) for _, header, reprs in texts if header]
+    lines = chain([",".join(header for header, _ in csv) + "\n"],
+                  _rows(",".join(["%s"] * len(csv)) + "\n", [reprs for _, reprs in csv]))
     if to_stdout:
-        return EXIT_OK, text, "", []
+        return EXIT_OK, "".join(lines), "", []
     if os.path.basename(args.out) in ("", ".", ".."):  # no file to write, nor a sidecar name
         code = errno.EISDIR if args.out else errno.ENOENT
         raise OSError(code, os.strerror(code), args.out)
@@ -410,8 +400,13 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str,
         csv_file=out.name,
     )
     head, tail = record.split('"rows": []', 1)
-    files = [(str(out), [text]),  # each sidecar row is made as it is written
-             (str(sidecar), chain([head, '"rows": '], _rows_json(texts), [tail]))]
+    import json  # loaded by make_record
+    # each row laid out as json.dumps(..., indent=2) lays out a top-level key's value
+    cells = ",\n      ".join(json.dumps(key) + ": %s" for key, *_ in texts)
+    rows = _rows(",\n    {\n      " + cells + "\n    }", [reprs for *_, reprs in texts])
+    files = [(str(out), lines),  # each CSV line and sidecar row is made as it is written
+             (str(sidecar), chain([head, '"rows": [', next(rows)[1:]],  # the first has no comma
+                                  rows, ["\n  ]", tail]))]
     return EXIT_OK, f"wrote {config.points} rows to {out} (metadata: {sidecar})\n{shown}", "", files
 
 

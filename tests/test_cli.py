@@ -121,7 +121,9 @@ class TestParseLength:
 
     @pytest.mark.parametrize(
         "text",
-        ["100", "0.1", "nm", "abc", "1.5.2um", "0.1 um", "1km", "1fm", "", "1e400m", "-2e308m"],
+        ["100", "0.1", "nm", "abc", "1.5.2um", "0.1 um", "1km", "1fm", "", "1e400m", "-2e308m",
+         # underflows: a float of its mantissa alone reads 0.0 too
+         pytest.param("0." + "0" * 400 + "1um", id="underflow-in-many-digits")],
     )
     def test_rejected(self, text):
         import argparse
@@ -144,6 +146,17 @@ class TestParseLength:
             assert result.returncode == EXIT_USAGE
             stderr.append(result.stderr)
         assert stderr[0] == stderr[1]
+
+    def test_a_long_run_of_digits_is_rejected_in_bounded_time(self, tmp_path):
+        """A unit-less run of 100,000 digits exits 2 at once: the mantissa can
+        split a run of digits in only one way, so rejecting it takes linear
+        time, where two ways to split it took quadratic time (minutes)."""
+        result = subprocess.run(
+            [sys.executable, "-m", "arcplate", "validate", "--gap", "1" * 100_000],
+            capture_output=True, timeout=60, env=subprocess_env(), cwd=tmp_path,
+        )
+        assert result.returncode == EXIT_USAGE
+        assert result.stdout == b""
 
 
 class TestParseModel:
@@ -172,7 +185,8 @@ class TestModelEpsilon:
     nonzero number but reads as 0.0 underflows, and is a usage error."""
 
     @pytest.mark.parametrize("eps", ["1e-400", "0.00001E-400", "-2.5e-330",
-                                     "\u0661e-400"])  # an Arabic-Indic one
+                                     "\u0661e-400",  # an Arabic-Indic one
+                                     pytest.param("0." + "0" * 400 + "1", id="many-digits")])
     def test_underflow_is_a_usage_error(self, capsys, eps):
         code, out, err = run_cli(capsys, "sweep", "--points", "2", "--models", f"scaled-ntlo:{eps}")
         assert code == EXIT_USAGE
@@ -600,13 +614,20 @@ class TestSweepColumns:
         assert batches == [cfg.points]
 
     def test_stdout_sweep_formats_no_sidecar_rows(self, monkeypatch, capsys):
-        def no_rows(*args, **kwargs):
-            raise AssertionError("a stdout sweep formatted sidecar rows")
+        """The row formatter, which makes every CSV line and sidecar row, is
+        given the CSV's template alone."""
+        templates = []
+        rows = arcplate.cli._rows
 
-        monkeypatch.setattr(arcplate.cli, "_rows_json", no_rows)
+        def recorded(template, columns):
+            templates.append(template)
+            return rows(template, columns)
+
+        monkeypatch.setattr(arcplate.cli, "_rows", recorded)
         code, out, _ = run_cli(capsys, "sweep", "--points", "3")
         assert code == EXIT_OK
         assert out.splitlines()[0] == EXPECTED_HEADER
+        assert templates == [",".join(["%s"] * 6) + "\n"]
 
     @pytest.mark.parametrize("out", [None, "s.csv"], ids=["stdout", "out"])
     def test_formats_each_value_once_and_only_what_it_writes(
@@ -763,7 +784,7 @@ class TestSweepFiles:
     def test_writing_the_sidecar_adds_no_copy_of_its_rows(self, capsys, monkeypatch, tmp_path):
         """_write_all gets the sidecar's rows one string per row, so its traced
         heap grows by less than half the sidecar's length while it writes the
-        pair: the CSV's own encode, not a copy of the whole rows text."""
+        pair, not by a copy of the whole rows text."""
         growth = []
         write_all = arcplate.cli._write_all
 
@@ -785,10 +806,11 @@ class TestSweepFiles:
         assert growth[0] < (tmp_path / "out.meta.json").stat().st_size / 2
 
     def test_the_sweep_peak_holds_no_float_column_nor_the_whole_rows(self, capsys, tmp_path):
-        """Each float column is freed once it is formatted and each sidecar row
-        is made as it is written, so the traced peak of sweep --out stays
-        below three times the sidecar's size. Holding the floats through the
-        render and every row string before the write peaks near four times."""
+        """Each float column is freed once it is formatted and each CSV line
+        and sidecar row is made as it is written, so the traced peak of sweep
+        --out stays below 2.2 times the sidecar's size. Holding the whole CSV
+        text peaks near 2.6 times, and also holding the floats through the
+        render and every row string before the write near four times."""
         argv = ["sweep", "--points", "2000", "--out", str(tmp_path / "out.csv")]
         assert main(argv) == EXIT_OK  # warm: the imports and the record's modules are loaded
         tracemalloc.start()
@@ -799,7 +821,26 @@ class TestSweepFiles:
         finally:
             tracemalloc.stop()
         capsys.readouterr()
-        assert peak < 3 * (tmp_path / "out.meta.json").stat().st_size
+        assert peak < 2.2 * (tmp_path / "out.meta.json").stat().st_size
+
+    def test_the_csv_reaches_write_all_one_line_per_string(self, capsys, monkeypatch,
+                                                            tmp_path):
+        """_write_all gets the CSV as it gets the sidecar's rows, one string
+        per line, so no text holds the whole CSV."""
+        lines = []
+        write_all = arcplate.cli._write_all
+
+        def recorded(files, out):
+            (path, texts), *rest = files
+            lines.extend(texts)
+            write_all([(path, lines), *rest], out)
+
+        monkeypatch.setattr(arcplate.cli, "_write_all", recorded)
+        code, _, _ = self.sweep(capsys, tmp_path)
+        assert code == EXIT_OK
+        assert "".join(lines) == (tmp_path / "out.csv").read_text(encoding="utf-8")
+        assert [line.count("\n") for line in lines] == [1] * 4  # the header and 3 rows
+        assert all(line.endswith("\n") for line in lines)
 
     @pytest.mark.skipif(not hasattr(os, "pathconf"), reason="no pathconf")
     def test_a_sidecar_name_at_the_length_limit_is_written(self, capsys, tmp_path):
@@ -1684,6 +1725,20 @@ class TestMaterialsFile:
         code, _, err = run_cli(capsys, *command, "--materials-file", "materials.json")
         assert code == EXIT_CONFIG
         assert "materials file materials.json is not valid UTF-8" in err
+        assert os.listdir() == ["materials.json"]  # no CSV, no sidecar
+
+    @pytest.mark.parametrize(
+        "command", [("materials", "list"), ("sweep", "--points", "2", "--out", "o.csv")],
+        ids=["materials-list", "sweep"],
+    )
+    def test_file_nested_beyond_the_recursion_limit(self, capsys, tmp_path, monkeypatch,
+                                                   command):
+        """json.load raises RecursionError on a deep enough file, at a depth of
+        about 1,100 on 3.11: a config error naming the file, not a traceback."""
+        monkeypatch.chdir(tmp_path)
+        Path("materials.json").write_text("[" * 100_000, encoding="utf-8")
+        assert run_cli(capsys, *command, "--materials-file", "materials.json") == (
+            EXIT_CONFIG, "", "error: materials file materials.json nests too deeply to read\n")
         assert os.listdir() == ["materials.json"]  # no CSV, no sidecar
 
     @pytest.mark.parametrize("field,value", [("name", '"y"'), ("poisson_ratio", "0.2")],

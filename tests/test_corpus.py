@@ -79,6 +79,7 @@ FIXTURES = {
     "repeated-field.json": b'[{"name": "x", "youngs_modulus_pa": 1e9, "poisson_ratio": 0.3,'
                            b' "poisson_ratio": 0.2}]',
     "latin-1.json": b'\xff\xfe[{"name": "x"}]',
+    "nested.json": b"[" * 100_000,  # deeper than json's recursion limit
     "taken.csv": None,
     "side.meta.json": None,
 }
