@@ -18,8 +18,9 @@ import os
 import re
 import sys
 import warnings
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
+from collections.abc import Iterable, Sequence
+from itertools import chain, tee, zip_longest
+from operator import itemgetter
 
 from .analysis import MAX_POINTS, SweepConfig, _sweep_columns
 from .casimir import (
@@ -260,15 +261,6 @@ def _column_names(config: SweepConfig) -> list[tuple[str, str | None]]:
     return names
 
 
-def _rows(template: str, columns: list[list[str]]) -> Iterator[str]:
-    """The text of each row of ``columns``, made as it is read: ``template``
-    filled with the row's cell of every column. Every CSV line and every
-    sidecar row of a sweep is made here, from the same reprs: a repr
-    round-trips bit-exactly and is also how json writes a finite float, so
-    each value is formatted once for both files."""
-    return map(template.__mod__, zip(*columns))
-
-
 def make_record(argv: Sequence[str], rows: list[dict], **metadata: object) -> str:
     """The JSON text, json.dumps(record, indent=2), of a command's record:
     its rows, and metadata holding the constants, then ``metadata`` in the
@@ -301,15 +293,17 @@ def _write_all(files: _Files, out: str) -> None:
 
     Each file's texts, an iterable of strings, go to a temporary file beside
     its path, named by at most 32 characters of its name, this process's id
-    and the file's index, whatever the path's length. Once all are written
-    they replace their paths, the last first, so the first path appears only
-    after the others are in place, and ``out`` is written and flushed. Until
-    then an earlier file at each path waits under its temporary's name with
-    .old for .tmp. On any error, stdout's too, the temporaries and any path
-    already replaced are removed, each earlier file gets its name back, and
-    an OSError of a file names the path given, not the temporary.
+    and the file's index, whatever the path's length. All are opened, then
+    written in step, a text of each in turn, so texts made from one stream are
+    written as they are made. Then they replace their paths, the last first,
+    so the first path appears only after the others are in place, and ``out``
+    is written and flushed. Until then an earlier file at each path waits
+    under its temporary's name with .old for .tmp. On any error, stdout's
+    too, the temporaries are closed and removed, as is any path already
+    replaced, each earlier file gets its name back, and an OSError of a file
+    names the path given, not the temporary.
     """
-    temps: list[str] = []
+    temps: list = []  # the open temporaries
     placed: list[str] = []
     earlier: list[tuple[str, str]] = []  # (path, where its earlier file waits)
     stems = [os.path.join(head, f"{name[:32]}.{os.getpid()}-{i}")  # + .tmp or .old
@@ -318,10 +312,13 @@ def _write_all(files: _Files, out: str) -> None:
         if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
             raise OSError(errno.EEXIST, "exists and is not a regular file", path)
     try:
-        for (path, texts), stem in zip(files, stems):
-            with open(stem + ".tmp", "w", encoding="utf-8") as f:
-                temps.append(f.name)
-                f.writelines(texts)
+        for (path, _), stem in zip(files, stems):
+            temps.append(open(stem + ".tmp", "w", encoding="utf-8"))
+        for texts in zip_longest(*(texts for _, texts in files), fillvalue=""):
+            for (path, _), f, text in zip(files, temps, texts):
+                f.write(text)
+        for (path, _), f in zip(files, temps):  # in order: a failed last flush names its file
+            f.close()
         for (path, _), stem in reversed(list(zip(files, stems))):
             if os.path.isfile(path):
                 os.replace(path, stem + ".old")
@@ -332,7 +329,9 @@ def _write_all(files: _Files, out: str) -> None:
         sys.stdout.write(out)
         sys.stdout.flush()  # its last write: a full or closed stdout fails the command
     except BaseException as exc:
-        for name in temps + placed:
+        for f in temps:  # unflushed: what a failed write left in its buffer is dropped
+            f.buffer.raw.close()
+        for name in [f.name for f in temps] + placed:
             try:
                 os.remove(name)
             except FileNotFoundError:
@@ -360,22 +359,18 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str,
     )
     names = _column_names(config)  # before any work: a token collision exits 2
     gaps, energies, thickness, delta, arc_length = _sweep_columns(config)
-    ref = config.reference_model()
-    ref_columns = thickness[config.models.index(ref)::len(config.models)]  # one per material
-    shown = "".join(f"{label}gap {gaps[i]:.4g} m" + "".join(  # the summary's last two lines
-        f"; t_max[{mat.name}, {ref.label}] = {column[i]:.4g} m"
-        for mat, column in zip(config.materials, ref_columns)) + "\n"
-        for label, i in (("first: ", 0), ("last:  ", -1)))
     to_stdout = args.out == "-"
     columns = [gaps, *energies, *thickness, *([] if delta is None else [delta])]
-    texts = []  # (sidecar key, CSV header, reprs) of the CSV's columns, of all with --out
-    for (key, header), column in zip(names, columns):
-        if header or not to_stdout:
-            texts.append((key, header, list(map(repr, column))))
-        column.clear()  # each float column goes once it is formatted
-    csv = [(header, reprs) for _, header, reprs in texts if header]
-    lines = chain([",".join(header for header, _ in csv) + "\n"],
-                  _rows(",".join(["%s"] * len(csv)) + "\n", [reprs for _, reprs in csv]))
+    kept = [(key, header, column) for (key, header), column in zip(names, columns)
+            if header or not to_stdout]  # the CSV's columns; with --out, every column
+    # a float's repr round-trips and is how json writes it, so one, made as its row is, serves both
+    cells = rows = zip(*[map(repr, column) for *_, column in kept])  # cells: the CSV's of each row
+    if not to_stdout:  # one stream for both files, written in step: tee holds a row or two
+        rows, cells = tee(rows)
+        cells = map(itemgetter(*[i for i, (_, header, _) in enumerate(kept) if header]), cells)
+    headers = [header for _, header, _ in kept if header]
+    lines = chain([",".join(headers) + "\n"],
+                  map((",".join(["%s"] * len(headers)) + "\n").__mod__, cells))
     if to_stdout:
         return EXIT_OK, "".join(lines), "", []
     if os.path.basename(args.out) in ("", ".", ".."):  # no file to write, nor a sidecar name
@@ -402,11 +397,16 @@ def cmd_sweep(args: argparse.Namespace, argv: list[str]) -> tuple[int, str, str,
     head, tail = record.split('"rows": []', 1)
     import json  # loaded by make_record
     # each row laid out as json.dumps(..., indent=2) lays out a top-level key's value
-    cells = ",\n      ".join(json.dumps(key) + ": %s" for key, *_ in texts)
-    rows = _rows(",\n    {\n      " + cells + "\n    }", [reprs for *_, reprs in texts])
+    fields = ",\n      ".join(json.dumps(key) + ": %s" for key, *_ in kept)
+    rows = map((",\n    {\n      " + fields + "\n    }").__mod__, rows)
     files = [(str(out), lines),  # each CSV line and sidecar row is made as it is written
              (str(sidecar), chain([head, '"rows": [', next(rows)[1:]],  # the first has no comma
                                   rows, ["\n  ]", tail]))]
+    ref = config.reference_model()  # its thickness per material: the summary's last two lines
+    shown = "".join(f"{label}gap {gaps[i]:.4g} m" + "".join(
+        f"; t_max[{mat.name}, {ref.label}] = {column[i]:.4g} m" for mat, column in
+        zip(config.materials, thickness[config.models.index(ref)::len(config.models)])) + "\n"
+        for label, i in (("first: ", 0), ("last:  ", -1)))
     return EXIT_OK, f"wrote {config.points} rows to {out} (metadata: {sidecar})\n{shown}", "", files
 
 

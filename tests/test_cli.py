@@ -14,6 +14,7 @@ arcplate package this suite imported, so none needs an install.
 
 import ast
 import contextlib
+import errno
 import gc
 import hashlib
 import importlib
@@ -614,20 +615,40 @@ class TestSweepColumns:
         assert batches == [cfg.points]
 
     def test_stdout_sweep_formats_no_sidecar_rows(self, monkeypatch, capsys):
-        """The row formatter, which makes every CSV line and sidecar row, is
-        given the CSV's template alone."""
-        templates = []
-        rows = arcplate.cli._rows
+        """Each repr a stdout sweep makes goes into one row text, its CSV line.
+        Every value's repr is a string that counts the row texts it is put in,
+        so a sidecar row, made of the same reprs, would count a second."""
+        uses: list[int] = []  # row texts per repr, in the order the reprs are made
 
-        def recorded(template, columns):
-            templates.append(template)
-            return rows(template, columns)
+        class Cell(str):
+            def __str__(self):  # what "%s" calls for a subclass of str
+                uses[self.index] += 1
+                return str.__str__(self)
 
-        monkeypatch.setattr(arcplate.cli, "_rows", recorded)
+        class Value(float):
+            def __repr__(self):
+                cell = Cell(float.__repr__(self))
+                cell.index = len(uses)
+                uses.append(0)
+                return cell
+
+        def values(column):
+            return list(map(Value, column))
+
+        columns = arcplate.cli._sweep_columns
+
+        def patched(config):
+            gaps, energies, thickness, delta, arc_length = columns(config)
+            return (values(gaps), [values(us) for us in energies],
+                    [values(ts) for ts in thickness], values(delta), arc_length)
+
+        monkeypatch.setattr(arcplate.cli, "_sweep_columns", patched)
         code, out, _ = run_cli(capsys, "sweep", "--points", "3")
         assert code == EXIT_OK
+        monkeypatch.undo()
+        assert run_cli(capsys, "sweep", "--points", "3")[1] == out
         assert out.splitlines()[0] == EXPECTED_HEADER
-        assert templates == [",".join(["%s"] * 6) + "\n"]
+        assert uses == [1] * 3 * 6  # 3 rows of the CSV's 6 columns
 
     @pytest.mark.parametrize("out", [None, "s.csv"], ids=["stdout", "out"])
     def test_formats_each_value_once_and_only_what_it_writes(
@@ -765,6 +786,71 @@ class TestSweepFiles:
         assert os.listdir(tmp_path) == [name]
         assert stat.S_ISFIFO(os.stat(tmp_path / name).st_mode)
 
+    # Runs arcplate's entry point once its modules are loaded, under the soft
+    # limit argv[2] of the resource argv[1] ("next": one above the lowest
+    # free descriptor, so that one more file can be opened); the rest is its
+    # argv. SIGXFSZ is ignored, as Python's start-up does, so that a write
+    # past a size limit fails rather than ends the process.
+    LIMITED = inspect.cleandoc("""
+        import os, resource, signal, sys
+        from arcplate.__main__ import run
+        limit, soft = getattr(resource, sys.argv.pop(1)), sys.argv.pop(1)
+        if soft == "next":
+            soft = os.dup(0)
+            os.close(soft)
+            soft += 1
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(limit, (int(soft), resource.getrlimit(limit)[1]))
+        sys.exit(run())
+    """)
+
+    def run_limited(self, tmp_path, name, soft):
+        """sweep --out x.csv in a child under the limit, in development mode
+        and with a ResourceWarning, as of a file left open, an error."""
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, name):
+            pytest.skip(f"no resource.{name}")
+        return subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", self.LIMITED,
+             name, soft, "sweep", "--out", "x.csv"],
+            capture_output=True, text=True, timeout=60, env=subprocess_env(), cwd=tmp_path,
+        )
+
+    def test_a_file_size_limit_keeps_the_earlier_pair(self, tmp_path):
+        """Writing past RLIMIT_FSIZE fails the file that reaches it: the
+        sidecar, the larger of two files written in step. Exit 4 with one
+        error line naming it, the earlier pair byte for byte, no temporary."""
+        earlier = subprocess.run([sys.executable, "-m", "arcplate", "sweep", "--out", "x.csv"],
+                                 capture_output=True, timeout=60, env=subprocess_env(),
+                                 cwd=tmp_path)
+        assert earlier.returncode == EXIT_OK
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert sorted(before) == ["x.csv", "x.meta.json"]
+        assert len(before["x.csv"]) < 150_000 < len(before["x.meta.json"])
+        result = self.run_limited(tmp_path, "RLIMIT_FSIZE", "150000")
+        assert (result.returncode, result.stdout) == (EXIT_CONFIG, "")
+        assert result.stderr == (
+            f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: 'x.meta.json'\n")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("directory", [True, False], ids=["sidecar-directory",
+                                                             "last-descriptor"])
+    def test_a_failed_sidecar_leaves_no_file_open(self, tmp_path, directory):
+        """A sidecar path that is a directory fails once both temporaries are
+        written and closed; with one descriptor left, the sidecar's temporary
+        fails to open while the CSV's is open. Either way: exit 4, one error
+        line naming the sidecar and nothing else on stderr, as a temporary
+        left open would add a ResourceWarning there, and no file written."""
+        resource = pytest.importorskip("resource")
+        if directory:  # under the limit as it is
+            (tmp_path / "x.meta.json").mkdir()
+        soft = str(resource.getrlimit(resource.RLIMIT_NOFILE)[0]) if directory else "next"
+        result = self.run_limited(tmp_path, "RLIMIT_NOFILE", soft)
+        code = errno.EISDIR if directory else errno.EMFILE
+        assert (result.returncode, result.stdout) == (EXIT_CONFIG, "")
+        assert result.stderr == f"error: [Errno {code}] {os.strerror(code)}: 'x.meta.json'\n"
+        assert os.listdir(tmp_path) == (["x.meta.json"] if directory else [])
+
     def test_dash_writes_to_stdout(self, capsys, tmp_path, monkeypatch):
         _, stdout_csv, _ = run_cli(capsys, *self.ARGV)
         monkeypatch.chdir(tmp_path)
@@ -805,12 +891,13 @@ class TestSweepFiles:
         assert len(growth) == 1
         assert growth[0] < (tmp_path / "out.meta.json").stat().st_size / 2
 
-    def test_the_sweep_peak_holds_no_float_column_nor_the_whole_rows(self, capsys, tmp_path):
-        """Each float column is freed once it is formatted and each CSV line
-        and sidecar row is made as it is written, so the traced peak of sweep
-        --out stays below 2.2 times the sidecar's size. Holding the whole CSV
-        text peaks near 2.6 times, and also holding the floats through the
-        render and every row string before the write near four times."""
+    def test_the_sweep_peak_holds_no_column_of_reprs_nor_the_whole_rows(self, capsys, tmp_path):
+        """Each float is formatted as its row is written, and the CSV and the
+        sidecar are written in step, so the traced peak of sweep --out, which
+        holds the float columns until the files are written, stays below 1.1
+        times the sidecar's size (0.83-0.85 times on Python 3.11-3.13).
+        Holding every column's reprs until the sidecar is written peaks near
+        1.7-1.8 times, and also holding the whole CSV text near 2.6 times."""
         argv = ["sweep", "--points", "2000", "--out", str(tmp_path / "out.csv")]
         assert main(argv) == EXIT_OK  # warm: the imports and the record's modules are loaded
         tracemalloc.start()
@@ -821,7 +908,7 @@ class TestSweepFiles:
         finally:
             tracemalloc.stop()
         capsys.readouterr()
-        assert peak < 2.2 * (tmp_path / "out.meta.json").stat().st_size
+        assert peak < 1.1 * (tmp_path / "out.meta.json").stat().st_size
 
     def test_the_csv_reaches_write_all_one_line_per_string(self, capsys, monkeypatch,
                                                             tmp_path):
